@@ -106,15 +106,14 @@ def build_parser():
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (see 'list'), 'all', 'ablations', 'bars', "
-        "'run', 'trace', 'why', 'analyze', 'bench', 'gen', 'serve', "
-        "'submit', or 'check-protocol'",
+        help="experiment id (see 'list') or verb: " + ", ".join(VERBS),
     )
     parser.add_argument(
         "target",
         nargs="?",
         default=None,
-        help="trace/why/analyze: workload name (equivalent to --workload)",
+        help="trace/why/analyze: workload name (equivalent to --workload); "
+        "report: the telemetry log",
     )
     parser.add_argument(
         "--procs",
@@ -228,8 +227,8 @@ def build_parser():
         "--log",
         metavar="FILE",
         help="write the harness telemetry event stream (sweep/run/"
-        "heartbeat events) as JSONL; also honored process-wide via the "
-        "DSI_LOG environment variable; analyze with 'dsi-sim report FILE'",
+        "heartbeat events) as JSONL, overwriting FILE; analyze with "
+        "'dsi-sim report FILE'",
     )
     parser.add_argument(
         "--live",
@@ -242,9 +241,9 @@ def build_parser():
         choices=("cprofile",),
         default=None,
         help="wrap each worker run in cProfile and write per-run pstats "
-        "sidecars keyed by RunSpec hash (DSI_PROFILE environment variable "
-        "works too); 'report' and 'bench' print the merged hot-function "
-        "table.  Never affects results or the result cache",
+        "sidecars keyed by RunSpec hash; 'report' and 'bench' print the "
+        "merged hot-function table.  Never affects results or the result "
+        "cache",
     )
     parser.add_argument(
         "--profile-dir",
@@ -344,67 +343,6 @@ def build_parser():
         help="bench: run the suite N times, keep each run's fastest wall "
         "time (default 1)",
     )
-    # serve / submit options (docs/SERVICE.md)
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8775,
-        help="serve: TCP port (default 8775; 0 binds an ephemeral port)",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=128,
-        metavar="N",
-        help="serve: max queued runs before submissions get 429 "
-        "(default 128)",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="serve: per-tenant token-bucket refill, sweeps/second "
-        "(default 0 = unlimited)",
-    )
-    parser.add_argument(
-        "--burst",
-        type=float,
-        default=None,
-        metavar="N",
-        help="serve: per-tenant token-bucket capacity (default 2*rate)",
-    )
-    parser.add_argument(
-        "--server",
-        metavar="URL",
-        default=None,
-        help="submit: server base URL (default http://127.0.0.1:8775, "
-        "or the DSI_SERVER environment variable)",
-    )
-    parser.add_argument(
-        "--name",
-        metavar="SWEEP",
-        help="submit: a registry-named sweep (e.g. bench/smoke, "
-        "paper/figure3) instead of building a spec",
-    )
-    parser.add_argument(
-        "--tenant",
-        metavar="ID",
-        default=None,
-        help="submit: tenant identity for rate limiting and accounting "
-        "(default: the local username)",
-    )
-    parser.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="submit: print the sweep id and return without waiting for "
-        "results",
-    )
     # check-protocol options
     parser.add_argument(
         "--variant",
@@ -446,17 +384,16 @@ def build_parser():
 
 def _telemetry_config(args):
     """The harness-observatory settings from ``--log``/``--live``/
-    ``--profile`` (or ``None``, letting the DSI_LOG/DSI_PROFILE
-    environment resolve downstream)."""
+    ``--profile``, or ``None`` when none of them was given."""
     from repro.harness.telemetry import TelemetryConfig
 
-    explicit = TelemetryConfig(
-        log_path=getattr(args, "log", None),
-        live=getattr(args, "live", False),
-        profile=getattr(args, "profile", None),
-        profile_dir=getattr(args, "profile_dir", None),
+    config = TelemetryConfig(
+        log_path=args.log,
+        live=args.live,
+        profile=args.profile,
+        profile_dir=args.profile_dir,
     )
-    return TelemetryConfig.resolve(explicit if explicit.active else None)
+    return config if config.active else None
 
 
 def _make_runner(args):
@@ -488,50 +425,27 @@ def _dispatch(argv):
     if args.jobs is not None and args.jobs < 1:
         print("--jobs must be >= 1 (1 = serial, in-process)", file=sys.stderr)
         return 2
-    if args.experiment == "bench":
-        return _bench(args)  # before --procs defaulting: suites pin their own
-    if args.experiment == "report":
-        return _report(args)  # post-hoc: no simulation, no --procs
-    if args.experiment == "serve":
-        return _serve(args)  # before --procs defaulting: registry entries pin their own
-    if args.experiment == "submit":
-        return _submit(args)
-    if args.procs is None:
-        args.procs = 32
-    if args.experiment == "list":
-        for name in EXPERIMENTS:
-            print(name)
-        for extra in (
-            "bars", "run", "trace", "why", "analyze", "bench", "gen",
-            "describe", "report", "serve", "submit", "check-protocol",
-        ):
-            print(extra)
-        return 0
-    if args.experiment == "check-protocol":
-        return _check_protocol(args)
-    if args.experiment == "bars":
-        return _bars(args)
-    if args.experiment == "run":
-        return _run_one(args)
-    if args.experiment == "trace":
-        return _trace(args)
-    if args.experiment == "why":
-        return _why(args)
-    if args.experiment == "analyze":
-        return _analyze(args)
-    if args.experiment == "gen":
-        return _generate(args)
-    if args.experiment == "describe":
-        return _describe(args)
-    if args.experiment == "all":
-        selected = PAPER_SET
-    elif args.experiment == "ablations":
-        selected = tuple(f"ablation:{name}" for name in ablations.ALL)
-    elif args.experiment in EXPERIMENTS:
-        selected = (args.experiment,)
-    else:
+    verb = VERBS.get(args.experiment)
+    if verb is None and args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2
+    if args.procs is None and args.experiment != "bench":
+        args.procs = 32  # bench's suites pin their own size
+    if verb is None:
+        return _experiments(args, (args.experiment,))
+    return verb(args)
+
+
+def _list(args):
+    """Every experiment id, then every other verb."""
+    for name in (*EXPERIMENTS, *VERBS):
+        print(name)
+    return 0
+
+
+def _experiments(args, selected):
+    """Run the ``selected`` experiment ids as one batch and print their
+    tables."""
     runner = _make_runner(args)
     started = time.time()
     try:
@@ -1373,146 +1287,6 @@ def _bench(args):
     return 0
 
 
-def _serve(args):
-    """Run the multi-tenant sweep server (``dsi-sim serve``).
-
-    Stands up the broker (persistent workers, bounded queue, per-tenant
-    rate limiting), seeds the named-sweep registry from the bench suites
-    and the paper planners, and serves the /v1 HTTP API until
-    interrupted.  See docs/SERVICE.md."""
-    from repro.service.app import DsiService
-    from repro.service.registry import default_registry
-
-    service = DsiService(
-        host=args.host,
-        port=args.port,
-        registry=default_registry(procs=args.procs, quick=args.quick or args.procs is None),
-        jobs=args.jobs or max(2, (os.cpu_count() or 2) // 2),
-        cache_dir=args.cache_dir,
-        queue_depth=args.queue_depth,
-        rate=args.rate,
-        burst=args.burst,
-        log_path=args.log,
-        quiet=not args.verbose,
-    )
-    limits = (
-        f"rate={args.rate}/s burst={service.broker.limiter.burst:g}"
-        if args.rate > 0 else "rate=unlimited"
-    )
-    print(
-        f"# dsi-sim serve on {service.url} "
-        f"(jobs={service.broker.jobs}, queue_depth={args.queue_depth}, {limits}, "
-        f"cache={'on: ' + args.cache_dir if args.cache_dir else 'off'}, "
-        f"{len(service.registry)} registered sweeps)",
-        file=sys.stderr, flush=True,
-    )
-    if args.log:
-        print(f"# event log -> {args.log} "
-              f"(analyze with: dsi-sim report {args.log})",
-              file=sys.stderr, flush=True)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        print("# shutting down (draining in-flight runs)", file=sys.stderr)
-    finally:
-        service.close()
-    return 0
-
-
-def _submit(args):
-    """Submit a sweep to a running server (``dsi-sim submit``).
-
-    Three spec sources: ``--name`` (registry), a positional JSON file
-    (a ``{"specs": [...]}`` object or a bare spec list), or
-    ``--workload``/``--protocol``/``--procs`` building one spec the way
-    the ``run`` verb would."""
-    import getpass
-
-    from repro.service.client import ServiceClient, ServiceClientError
-
-    server = args.server or os.environ.get("DSI_SERVER") or "http://127.0.0.1:8775"
-    try:
-        tenant = args.tenant or getpass.getuser()
-    except OSError:  # no passwd entry (containers)
-        tenant = args.tenant or "anonymous"
-    client = ServiceClient(server, tenant=tenant)
-    try:
-        if args.name:
-            accepted = client.submit_name(args.name)
-        elif args.target:
-            with open(args.target, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            specs = payload["specs"] if isinstance(payload, dict) else payload
-            accepted = client.submit_specs(specs)
-        elif args.workload:
-            procs = args.procs or 32
-            spec_args = workload_args(args.workload, quick=args.quick, n_procs=procs)
-            config = paper_config(
-                args.protocol, cache=args.cache, latency=args.latency,
-                n_procs=procs, **_protocol_overrides(args),
-            )
-            from repro.harness.runspec import RunSpec
-
-            accepted = client.submit_specs(
-                [RunSpec.create(args.workload, config, **spec_args)]
-            )
-        else:
-            print("submit: need --name, a specs JSON file, or --workload",
-                  file=sys.stderr)
-            return 2
-        sweep_id = accepted["sweep"]
-        if args.no_wait:
-            if args.as_json:
-                print(json.dumps(accepted, indent=2))
-            else:
-                print(f"sweep {sweep_id} accepted "
-                      f"(status: {server}/v1/sweeps/{sweep_id})")
-            return 0
-        status = client.wait(sweep_id, timeout=3600)
-    except ServiceClientError as exc:
-        hint = ""
-        if exc.status == 429 and exc.retry_after:
-            hint = f" (retry after {exc.retry_after:.1f}s)"
-        elif exc.status is None:
-            hint = " (is 'dsi-sim serve' running?)"
-        print(f"submit: {exc}{hint}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"submit: bad specs file: {exc}", file=sys.stderr)
-        return 2
-    if args.as_json:
-        print(json.dumps(status, indent=2))
-        return 1 if status["counts"]["failed"] else 0
-    counts = status["counts"]
-    rows = []
-    for run in status["runs"]:
-        record = run.get("record") or {}
-        rows.append([
-            run["workload"],
-            run["label"],
-            run["status"],
-            record.get("exec_time", "-"),
-            f"{record['wall_time_s']:.2f}" if record.get("wall_time_s") else "-",
-            run["spec_key"][:12],
-        ])
-    print(format_table(
-        ["workload", "label", "status", "exec_time", "wall_s", "key"],
-        rows,
-        title=f"sweep {sweep_id} ({status['state']})",
-    ))
-    print()
-    print(
-        f"# {counts['specs']} specs: {counts['executed']} executed, "
-        f"{counts['cached']} cache-served, {counts['failed']} failed "
-        f"in {status['wall_s']:.1f}s (tenant={tenant})"
-    )
-    for run in status["runs"]:
-        if run["status"] == "failed":
-            print(f"# failed {run['workload']}/{run['label']}: {run.get('error')}",
-                  file=sys.stderr)
-    return 1 if counts["failed"] else 0
-
-
 def _report(args):
     """Post-hoc sweep analysis of a harness telemetry log (``--log``):
     worker utilization, queue wait vs execute time, cache-hit breakdown,
@@ -1586,6 +1360,27 @@ def _generate(args):
     save_program(program, args.output)
     print(f"wrote {program.describe()} -> {args.output}")
     return 0
+
+
+#: Every verb besides the experiment ids -> its handler.  ``list``, the
+#: ``--help`` text and ``_dispatch`` all read this one table.
+VERBS = {
+    "list": _list,
+    "all": lambda args: _experiments(args, PAPER_SET),
+    "ablations": lambda args: _experiments(
+        args, tuple(f"ablation:{name}" for name in ablations.ALL)
+    ),
+    "bars": _bars,
+    "run": _run_one,
+    "trace": _trace,
+    "why": _why,
+    "analyze": _analyze,
+    "describe": _describe,
+    "gen": _generate,
+    "bench": _bench,
+    "report": _report,
+    "check-protocol": _check_protocol,
+}
 
 
 if __name__ == "__main__":

@@ -242,11 +242,10 @@ def sweep_telemetry(jobs=2, out=None):
     from repro.harness.runpool import RunPool
 
     failures = []
-    off = T.TelemetryConfig()  # inactive: ignores DSI_LOG/DSI_PROFILE too
     with tempfile.TemporaryDirectory(prefix="dsi-telemetry-") as tmp:
         # -- 1: record identity under full observation ------------------
         specs = [spec for _w, _p, spec in suite_specs("smoke")]
-        bare = RunPool(jobs=1, telemetry=off).run_batch(specs)
+        bare = RunPool(jobs=1).run_batch(specs)
         observed_cfg = T.TelemetryConfig(
             log_path=os.path.join(tmp, "identity.jsonl"),
             profile="cprofile",

@@ -75,8 +75,8 @@ class ExperimentRunner:
         ``False`` bypasses the persistent cache.
     telemetry:
         A :class:`~repro.harness.telemetry.TelemetryConfig` forwarded to
-        the pool (``--log``/``--live``/``--profile``); ``None`` consults
-        the ``DSI_LOG``/``DSI_PROFILE`` environment.
+        the pool (``--log``/``--live``/``--profile``); ``None`` means
+        telemetry is off.
     """
 
     def __init__(self, n_procs=32, quick=False, verbose=False, jobs=1,

@@ -41,7 +41,6 @@ import repro
 from repro.harness.telemetry import (
     JsonlSink,
     LiveDashboard,
-    TelemetryConfig,
     TelemetryHub,
     VerboseSink,
     WorkerTelemetry,
@@ -118,10 +117,10 @@ def code_fingerprint():
     processes differing only in those variables must not share cache
     entries — they fingerprint (and therefore cache) separately.
 
-    Telemetry settings (``DSI_LOG``/``DSI_PROFILE``, ``--log``,
-    ``--live``, ``--profile``) are deliberately *not* folded in:
-    observability never affects simulation results (the equivalence
-    harness proves it), so it must never bust the result cache.
+    Telemetry settings (``--log``, ``--live``, ``--profile``) are
+    deliberately *not* folded in: observability never affects
+    simulation results (the equivalence harness proves it), so it must
+    never bust the result cache.
     """
     mode = "reference" if os.environ.get("DSI_NO_FASTPATH") else "fast"
     engine = os.environ.get("DSI_MODE") or "default"
@@ -152,25 +151,13 @@ class ResultCache:
         self.fingerprint = fingerprint or code_fingerprint()
 
     def path_for(self, spec):
-        return self.path_for_key(spec.key())
-
-    def path_for_key(self, key):
-        return os.path.join(self.root, self.fingerprint[:16], key + ".json")
+        return os.path.join(self.root, self.fingerprint[:16], spec.key() + ".json")
 
     def get(self, spec):
         """The cached record for ``spec``, or None (corrupt files miss)."""
-        payload = self.get_by_key(spec.key())
-        return RunRecord.from_dict(payload["record"]) if payload else None
-
-    def get_by_key(self, key):
-        """The raw ``{"spec", "record"}`` payload stored under a spec's
-        content address, or None — the sweep service's ``/v1/runs/<key>``
-        path, where the caller has only the hash."""
         try:
-            with open(self.path_for_key(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            RunRecord.from_dict(payload["record"])  # corrupt files miss
-            return payload
+            with open(self.path_for(spec), "r", encoding="utf-8") as handle:
+                return RunRecord.from_dict(json.load(handle)["record"])
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
@@ -204,8 +191,8 @@ class RunPool:
         Override the code fingerprint (tests use this to simulate source
         changes).
     telemetry:
-        A :class:`~repro.harness.telemetry.TelemetryConfig` (or ``None``
-        to consult ``DSI_LOG``/``DSI_PROFILE``).  Activates the JSONL
+        A :class:`~repro.harness.telemetry.TelemetryConfig`; ``None`` or
+        an inactive config means telemetry is off.  Activates the JSONL
         log, the live dashboard, worker heartbeats and host profiling.
         Never affects results or cache keys.
     """
@@ -221,7 +208,7 @@ class RunPool:
             else None
         )
         self.verbose = verbose
-        self.telemetry = TelemetryConfig.resolve(telemetry)
+        self.telemetry = telemetry if telemetry is not None and telemetry.active else None
         self.executed = 0
         self.cache_hits = 0
         self.failed = 0

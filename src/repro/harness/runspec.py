@@ -30,10 +30,9 @@ class SpecValidationError(ReproError):
     """A JSON RunSpec payload failed strict validation.
 
     Raised by :meth:`RunSpec.from_dict` with *every* problem collected
-    (not just the first), so a service client gets one structured answer
-    for a bad submission.  ``errors`` is a list of
-    ``{"field", "value", "reason"}`` dicts; :meth:`to_payload` is the
-    JSON body the sweep server returns with a 400.
+    (not just the first), so one error names everything wrong with a
+    spec.  ``errors`` is a JSON-safe list of
+    ``{"field", "value", "reason"}`` dicts.
     """
 
     def __init__(self, errors):
@@ -42,9 +41,6 @@ class SpecValidationError(ReproError):
             f"{entry['field']}: {entry['reason']}" for entry in self.errors
         )
         super().__init__(f"invalid RunSpec payload — {summary}")
-
-    def to_payload(self):
-        return {"error": "invalid RunSpec payload", "details": self.errors}
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ class RunSpec:
     def from_dict(cls, payload):
         """Rebuild a spec from its :meth:`to_dict` form — strictly.
 
-        This is the sweep service's input-validation path, so it rejects
+        A JSON spec comes from outside the process, so this rejects
         rather than guesses: unknown top-level or config fields, an
         unregistered workload, non-scalar generator arguments, bad enum
         values and type mismatches all fail with a

@@ -15,8 +15,8 @@ Event stream
     ``schema == TELEMETRY_SCHEMA_VERSION`` and is validated on emission.
 
 Sinks
-    :class:`JsonlSink` (``--log FILE`` / ``DSI_LOG``) appends one line
-    per event, flushed immediately so a crashed sweep still leaves a
+    :class:`JsonlSink` (``--log FILE``) writes one line per event to a
+    fresh FILE, flushed immediately so a crashed sweep still leaves a
     readable log; :class:`VerboseSink` renders the classic ``--verbose``
     lines from the same events (one code path, single parent-side
     writer, so process-pool output never interleaves);
@@ -170,14 +170,14 @@ def load_log_lenient(path):
     events = []
     problems = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             for lineno, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    event = json.loads(line)
-                except ValueError as exc:
+                    event = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # UnicodeDecodeError included
                     problems.append(f"{path}:{lineno}: not JSON: {exc}")
                     continue
                 try:
@@ -229,19 +229,6 @@ class TelemetryConfig:
     def active(self):
         return bool(self.log_path or self.live or self.profile)
 
-    @classmethod
-    def resolve(cls, explicit=None):
-        """The effective config: ``explicit`` wins; otherwise the
-        ``DSI_LOG`` / ``DSI_PROFILE`` environment variables are
-        consulted.  Returns ``None`` when telemetry is fully off."""
-        if explicit is not None:
-            return explicit if explicit.active else None
-        log_path = os.environ.get("DSI_LOG")
-        profile = os.environ.get("DSI_PROFILE") or None
-        if not log_path and not profile:
-            return None
-        return cls(log_path=log_path or None, profile=profile)
-
 
 # ----------------------------------------------------------------------
 # Sinks
@@ -272,25 +259,6 @@ class JsonlSink(TelemetrySink):
     def close(self):
         if not self._handle.closed:
             self._handle.close()
-
-
-class BufferSink(TelemetrySink):
-    """Keeps events in memory (the sweep service's status/replay store).
-
-    Bounded: past ``max_events`` the oldest retained events are *not*
-    evicted — new ones are counted in ``dropped`` instead, so a replay is
-    always a prefix of the true stream and the truncation is visible."""
-
-    def __init__(self, max_events=100_000):
-        self.max_events = max_events
-        self.events = []
-        self.dropped = 0
-
-    def handle(self, event):
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(event)
 
 
 class VerboseSink(TelemetrySink):
@@ -563,30 +531,6 @@ class TelemetryHub:
                     sink.handle(event)
                 except Exception as exc:  # a sink must never kill the sweep
                     self.errors.append(exc)
-
-    # -- dynamic sinks (streaming subscribers) -------------------------
-    def add_sink(self, sink, replay=None):
-        """Attach a sink mid-stream; returns the replay list.
-
-        ``replay`` is a callable (e.g. a :class:`BufferSink`'s event
-        list) evaluated under the emission lock, so the snapshot and the
-        attachment are atomic: a subscriber sees every event exactly
-        once — the replayed prefix, then live fan-out."""
-        with self._lock:
-            events = list(replay()) if replay is not None else []
-            self.sinks.append(sink)
-        return events
-
-    def remove_sink(self, sink):
-        """Detach a sink (idempotent); returns True when it was attached.
-        A disconnected streaming subscriber must land here, or the hub
-        would keep fanning out to a dead queue forever."""
-        with self._lock:
-            try:
-                self.sinks.remove(sink)
-            except ValueError:
-                return False
-        return True
 
     # -- worker transport ----------------------------------------------
     def worker_queue(self):

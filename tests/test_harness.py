@@ -4,6 +4,8 @@ Experiment modules run at quick scale with a small machine so the whole
 file stays fast while exercising every code path.
 """
 
+import re
+
 import pytest
 
 from repro.config import Consistency, IdentifyScheme, SIMechanism
@@ -184,6 +186,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "figure3" in out and "ablation:fifo_depth" in out
         assert "run" in out and "gen" in out and "bars" in out
+
+    def test_help_names_every_listed_verb(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrap inside 'check-protocol'
+        assert cli.main(["list"]) == 0
+        verbs = set(capsys.readouterr().out.split()) - set(cli.EXPERIMENTS)
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        usage = capsys.readouterr().out
+        positional = usage[usage.index("\n  experiment"):usage.index("\n  target")]
+        assert verbs <= set(re.findall(r"[\w-]+", positional))
 
     def test_unknown(self, capsys):
         assert cli.main(["bogus"]) == 2

@@ -82,13 +82,27 @@ class TestResultCache:
         assert pool.executed == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_corrupt_cache_entry_reexecutes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "{not json",
+            "[]",
+            '"x"',
+            '{"spec": {}}',
+            '{"record": null}',
+            '{"record": {}}',
+            '{"record": []}',
+        ],
+        ids=["not-json", "list", "string", "no-record", "record-null",
+             "record-empty", "record-list"],
+    )
+    def test_corrupt_cache_entry_reexecutes(self, tmp_path, entry):
         spec = _specs()[0]
         pool = RunPool(jobs=1, cache_dir=str(tmp_path))
         pool.run(spec)
         path = pool.cache.path_for(spec)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
+            handle.write(entry)
         retry = RunPool(jobs=1, cache_dir=str(tmp_path))
         retry.run(spec)
         assert retry.executed == 1

@@ -383,15 +383,19 @@ class TestTelemetryNeutrality:
             observed.close()
         assert observed.cache_hits == 1 and observed.executed == 0
 
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("DSI_LOG", raising=False)
-        monkeypatch.delenv("DSI_PROFILE", raising=False)
-        assert T.TelemetryConfig.resolve(None) is None
-        monkeypatch.setenv("DSI_LOG", "env.jsonl")
-        resolved = T.TelemetryConfig.resolve(None)
-        assert resolved.log_path == "env.jsonl"
-        # an explicit (even inactive) config outvotes the environment
-        assert T.TelemetryConfig.resolve(T.TelemetryConfig()) is None
+    def test_environment_never_turns_telemetry_on(self, tmp_path, monkeypatch):
+        # Only an explicit config (--log/--profile) turns telemetry on;
+        # these variables name a log and a profiler but must do nothing.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DSI_LOG", str(tmp_path / "env.jsonl"))
+        monkeypatch.setenv("DSI_PROFILE", "cprofile")
+        pool = RunPool(jobs=1)
+        assert pool.hub is None
+        try:
+            pool.run(_specs(1)[0])
+        finally:
+            pool.close()
+        assert list(tmp_path.iterdir()) == []  # no log, no profile sidecars
 
     def test_unknown_profiler_rejected(self):
         from repro.errors import ConfigError
@@ -705,11 +709,13 @@ class TestCli:
         capsys.readouterr()
 
     def test_report_survives_truncated_log(self, tmp_path, capsys):
-        """A log whose final line was cut mid-write (crashed sweep) still
-        reports the valid prefix — with a warning and exit 1."""
+        """A log whose final line was cut mid-write (crashed sweep) or
+        holds bytes that are not UTF-8 still reports the valid prefix —
+        with a warning and exit 1, never a traceback."""
         from repro.harness import cli
 
-        hub = T.TelemetryHub([T.JsonlSink(str(tmp_path / "cut.jsonl"))])
+        log = tmp_path / "cut.jsonl"
+        hub = T.TelemetryHub([T.JsonlSink(str(log))])
         hub.begin_sweep("s1")
         hub.emit(T.make_event(
             "sweep_begin", specs=1, pending=1, jobs=1, fingerprint="f" * 16
@@ -718,23 +724,28 @@ class TestCli:
             "run_queued", spec_key="k" * 64, workload="ocean", label="SC"
         ))
         hub.close()
-        log = tmp_path / "cut.jsonl"
-        log.write_text(log.read_text() + '{"type": "run_fini')  # torn write
-        assert cli.main(["report", str(log)]) == 1
-        captured = capsys.readouterr()
-        assert "not JSON" in captured.err
-        assert "valid events" in captured.err
-        assert "runs: 1" in captured.out  # the prefix was analyzed
+        prefix = log.read_bytes()
+        for tail in (
+            b'{"type": "run_fini',  # torn write
+            b'\xff\xfe{"type": \x80}\n',  # not UTF-8
+        ):
+            log.write_bytes(prefix + tail)
+            assert cli.main(["report", str(log)]) == 1
+            captured = capsys.readouterr()
+            assert "not JSON" in captured.err
+            assert "valid events" in captured.err
+            assert "runs: 1" in captured.out  # the prefix was analyzed
 
     def test_report_all_lines_invalid_exits_clearly(self, tmp_path, capsys):
         from repro.harness import cli
 
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json at all\n{\n")
-        assert cli.main(["report", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "no valid telemetry events" in err
-        assert "bad line" in err
+        for content in (b"not json at all\n{\n", b"\xff\xfe\x00garbage\n"):
+            bad.write_bytes(content)
+            assert cli.main(["report", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert "no valid telemetry events" in err
+            assert "bad line" in err
 
     def test_bench_with_telemetry(self, tmp_path, capsys, monkeypatch):
         from repro.harness import cli
