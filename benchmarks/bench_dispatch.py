@@ -38,12 +38,6 @@ MODES = {
     "fastpath": {"compiled_dispatch": True, "direct_execution": True},
 }
 
-_no_fastpath = pytest.mark.skipif(
-    bool(os.environ.get("DSI_NO_FASTPATH")),
-    reason="DSI_NO_FASTPATH forces every mode to interpreted",
-)
-
-
 def make_spec(mode):
     config = paper_config(PROTOCOL, n_procs=PROCS, **MODES[mode])
     return RunSpec.create(
@@ -51,7 +45,6 @@ def make_spec(mode):
     )
 
 
-@_no_fastpath
 @pytest.mark.parametrize("mode", list(MODES))
 def test_dispatch_mode(benchmark, mode):
     spec = make_spec(mode)
@@ -60,7 +53,6 @@ def test_dispatch_mode(benchmark, mode):
     assert record.exec_time > 0
 
 
-@_no_fastpath
 def test_modes_agree():
     """The timing comparison is only meaningful if the work is identical."""
     specs = {mode: make_spec(mode) for mode in MODES}

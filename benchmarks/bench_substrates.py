@@ -6,7 +6,6 @@ reproduction.
 """
 
 from repro.config import SystemConfig
-from repro.engine.event_queue import EventQueue
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 from repro.memory.cache import Cache, SHARED
@@ -17,20 +16,6 @@ from repro.trace.builder import TraceBuilder
 from repro.workloads import em3d
 
 KB = 1024
-
-
-def test_event_queue_throughput(benchmark):
-    def churn():
-        queue = EventQueue()
-        for t in range(10_000):
-            queue.push((t * 7919) % 100_000, None, ())
-        count = 0
-        while queue:
-            queue.pop()
-            count += 1
-        return count
-
-    assert benchmark(churn) == 10_000
 
 
 def test_simulator_event_rate(benchmark):

@@ -13,8 +13,8 @@ hot path wants:
   evaluated at most once per dispatch, through its prebound property
   ``fget`` (no ``getattr`` string lookups), in exactly the order the
   interpreter would first touch it — guards with lazy side effects (the
-  directory's classification) therefore fire at the same point in both
-  engines;
+  directory's classification) therefore fire at the same point on both
+  paths;
 * :class:`CompiledRow` leaves carrying prebound action functions and the
   precomputed ``state.value`` / ``event.value`` / next-state strings the
   observability probes and error messages need, so no enum attribute is

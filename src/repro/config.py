@@ -10,8 +10,8 @@ constant 100-cycle network).
 """
 
 import enum
-import os
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.errors import ConfigError
 
@@ -50,28 +50,12 @@ class SIMechanism(enum.Enum):
 
 
 class ExecutionMode(enum.Enum):
-    """Which execution engine retires coherence transactions.
-
-    REFERENCE is the bit-identical oracle: every message hop, resource
-    occupancy and quantum boundary fires as a discrete event through the
-    full Message/table machinery, exactly as the interpreter always has.
-    RELAXED runs the same event *structure* (hop for hop — elision of
-    any intermediate event was tried and is provably order-unsafe, see
-    ``repro.network.network``) on two cheaper substrates: a per-cycle
-    bucketed event queue, and straight-line Message-free *lanes* that
-    retire uncontended transactions (miss -> home -> grant) without
-    building Message objects, contexts or table rows.  A transaction
-    that meets a contention hazard (busy directory entry, exclusive
-    owner, sharer fan-out, raced MSHR) *bails*: the lane materializes
-    the Message it never built and hands it to the reference handler at
-    the exact point the reference engine would have processed it.
-    Relaxed runs are proven *observationally* equal to reference runs
-    (every measured RunRecord field except ``events_fired``) by
-    ``repro.harness.equivalence --observational``.
-    """
+    """The execution engine a run takes.  There is one: every message hop,
+    resource occupancy and quantum boundary fires as a discrete event
+    through the full Message/table machinery.  Kept as a one-member enum
+    for provenance records that name the engine."""
 
     REFERENCE = "reference"
-    RELAXED = "relaxed"
 
 
 @dataclass(frozen=True)
@@ -138,32 +122,17 @@ class SystemConfig:
     quantum: int = 100  # max cycles of hit-processing per processor event
     check_invariants: bool = False  # enable the SWMR/value protocol monitor
     max_events: int = 0  # 0 = unlimited; else abort after this many events
-    # Execution engine (repro.coherence.compile / repro.processor.fastpath).
+    # Execution paths (repro.coherence.compile / repro.processor.fastpath).
     # Both default on; the interpreted paths stay bit-identical and remain
-    # as the reference side of the equivalence harness.  The DSI_NO_FASTPATH
-    # environment variable (any non-empty value) forces both off — the
-    # runtime escape hatch behind ``dsi-sim run --no-fastpath``.
+    # as the reference side of the equivalence harness
+    # (``dsi-sim run --no-fastpath`` turns both off).
     compiled_dispatch: bool = True  # table lowered to integer-indexed dispatch
     direct_execution: bool = True  # batch private/valid hits outside the engine
-    # Transaction-retirement engine (see ExecutionMode).  REFERENCE stays
-    # the default: it is the oracle every other path is proven against.
-    # The DSI_MODE environment variable ("relaxed" / "reference")
-    # overrides the field process-wide — the runtime escape hatch behind
-    # ``dsi-sim run --mode``.
-    execution_mode: ExecutionMode = ExecutionMode.REFERENCE
+    # The one execution engine; a class constant, not a field, so no spec,
+    # flag or ``replace()`` can set it.
+    execution_mode: ClassVar[ExecutionMode] = ExecutionMode.REFERENCE
 
     def __post_init__(self):
-        if os.environ.get("DSI_NO_FASTPATH"):
-            object.__setattr__(self, "compiled_dispatch", False)
-            object.__setattr__(self, "direct_execution", False)
-        env_mode = os.environ.get("DSI_MODE")
-        if env_mode:
-            try:
-                object.__setattr__(self, "execution_mode", ExecutionMode(env_mode))
-            except ValueError:
-                raise ConfigError(
-                    f"DSI_MODE must be 'reference' or 'relaxed', not {env_mode!r}"
-                ) from None
         if self.n_processors < 1:
             raise ConfigError("n_processors must be >= 1")
         if self.block_size & (self.block_size - 1):

@@ -258,8 +258,6 @@ class DirectoryController:
         self.stale_messages = 0
         self._wc = config.consistency is Consistency.WC
         self._states_scheme = config.identify is IdentifyScheme.STATES
-        self._tearoff_cfg = bool(config.tearoff or config.sc_tearoff)
-        self._migratory_variant = bool(config.migratory and not config.tardis)
         self.variant = ProtocolVariant.from_config(config)
         self.table = dir_table(self.variant)
         self.ctable = compiled_dir_table(self.variant)
@@ -268,9 +266,6 @@ class DirectoryController:
             else self.ctable.decide_interpreted
         )
         self.lease_policy = make_lease_policy(config) if config.tardis else None
-        # Lane hot-path prebinds.
-        self._dcc = config.dir_ctrl_cycles
-        self._submit = self.resource.submit
 
     # ------------------------------------------------------------------
     # Entry management
@@ -741,105 +736,6 @@ class DirectoryController:
         while entry.deferred and not entry.busy:
             msg = entry.deferred.popleft()
             self._dispatch(_MSG_EVENTS[msg.kind], _Ctx(self, entry, msg))
-
-    # ------------------------------------------------------------------
-    # Relaxed-engine lanes (Message-free uncontended requests)
-    # ------------------------------------------------------------------
-    # Under ExecutionMode.RELAXED the cache controllers route plain
-    # GETS/GETX/UPGRADE requests here without building a Message.  Each
-    # lane occupies the controller resource exactly like ``receive``,
-    # then either retires the request with a straight-line replica of the
-    # uncontended table rows (classify, grant, lane response) or *bails*:
-    # it materializes the Message it never built and runs the reference
-    # ``_process`` at the very point the reference engine would have,
-    # which makes a bail exact by construction.  Lanes are never active
-    # under instrumentation, the invariant monitor, or Tardis.
-
-    def _lane_gets(self, block, src, version):
-        self.network.in_flight -= 1
-        self._submit(self._dcc, self._lane_gets_work, block, src, version)
-
-    def _lane_gets_work(self, block, src, version):
-        entry = self.entry_for(block)
-        if entry.busy or entry.migratory or entry.state == DIR_EXCLUSIVE:
-            self._process(
-                Message(MsgKind.GETS, block, src=src, dst=self.node, version=version)
-            )
-            return
-        # GETS x Idle/Shared: every matching row is a lone grant action,
-        # and the tracked/tear-off grant actions share one body
-        # (``_grant_read``, replicated here without the Message).
-        decision = self._classify_read(entry, src, version)
-        tearoff = bool(decision.si and self._tearoff_cfg)
-        self.policy.on_shared_grant(entry, src, tearoff)
-        if not tearoff:
-            entry.add_sharer(src)
-            if entry.state != DIR_SHARED:
-                entry.state = DIR_SHARED
-                entry.idle_flavor = FLAVOR_PLAIN
-                entry.shared_si = False
-            if decision.si and self._states_scheme:
-                entry.shared_si = True  # enter Shared_SI
-        cache = self.network.cache_sinks[src]
-        args = (block, entry.data, entry.version, decision.si, tearoff)
-        if src == self.node:
-            self.network.relaxed_send_local("DATA", True, cache._lane_data, args)
-        else:
-            self.network.relaxed_send_remote(
-                "DATA", self.node, True, cache._lane_data, args
-            )
-
-    def _lane_write(self, block, src, version, upgrade):
-        self.network.in_flight -= 1
-        self._submit(self._dcc, self._lane_write_work, block, src, version, upgrade)
-
-    def _lane_write_work(self, block, src, version, upgrade):
-        entry = self.entry_for(block)
-        state = entry.state
-        if (
-            entry.busy
-            or state == DIR_EXCLUSIVE
-            or (state == DIR_SHARED
-                and any(n != src for n in entry.sharer_list()))
-        ):
-            self._process(
-                Message(
-                    MsgKind.UPGRADE if upgrade else MsgKind.GETX,
-                    block, src=src, dst=self.node, version=version,
-                )
-            )
-            return
-        # GETX/UPGRADE x Idle, or the requester holds the only tracked
-        # copy: the lone GRANT_WRITE row (DETECT_MIGRATORY first on the
-        # migratory tables' sole-sharer UPGRADE row).
-        upgrade_grant = upgrade and state == DIR_SHARED and entry.has_sharer(src)
-        if (
-            self._migratory_variant
-            and upgrade
-            and state == DIR_SHARED
-            and not entry.migratory
-            and upgrade_grant
-            and entry.last_writer not in (None, src)
-        ):
-            entry.migratory = True
-        decision = self._classify_write(entry, src, version, upgrade_grant)
-        self.policy.on_exclusive_grant(entry, src)
-        entry.state = DIR_EXCLUSIVE
-        entry.owner = src
-        entry.sharers = 0
-        entry.shared_si = False
-        entry.idle_flavor = FLAVOR_PLAIN
-        entry.last_writer = src
-        cache = self.network.cache_sinks[src]
-        args = (block, entry.data, entry.version, decision.si)
-        if upgrade_grant:
-            arrival, carries, name = cache._lane_upgrade_ack, False, "UPGRADE_ACK"
-        else:
-            arrival, carries, name = cache._lane_data_ex, True, "DATA_EX"
-        if src == self.node:
-            self.network.relaxed_send_local(name, carries, arrival, args)
-        else:
-            self.network.relaxed_send_remote(name, self.node, carries, arrival, args)
 
     # ------------------------------------------------------------------
     def deadlock_diagnostic(self):

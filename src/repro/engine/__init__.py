@@ -1,16 +1,15 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: a binary-heap event queue
-(:mod:`repro.engine.event_queue`), a :class:`~repro.engine.simulator.Simulator`
-that owns the clock, generator-based processes for sequential behaviours
-(:mod:`repro.engine.process`), and FIFO occupancy :class:`resources
-<repro.engine.resource.Resource>` used to model contention at the cache
-controller, directory controller and network interfaces.
+The kernel is deliberately small: a :class:`~repro.engine.simulator.Simulator`
+that owns the clock and a per-cycle bucketed event queue, generator-based
+processes for sequential behaviours (:mod:`repro.engine.process`), and FIFO
+occupancy :class:`resources <repro.engine.resource.Resource>` used to model
+contention at the cache controller, directory controller and network
+interfaces.
 """
 
-from repro.engine.event_queue import EventQueue
 from repro.engine.process import Process, Timeout, Waiter
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 
-__all__ = ["EventQueue", "Process", "Resource", "Simulator", "Timeout", "Waiter"]
+__all__ = ["Process", "Resource", "Simulator", "Timeout", "Waiter"]

@@ -28,19 +28,17 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
 
-from repro.config import ExecutionMode
 from repro.errors import ConfigError
 from repro.harness.configs import PROTOCOLS, WORKLOADS, paper_config, workload_args
 from repro.harness.runpool import RunPool
 from repro.harness.runspec import RunSpec
 from repro.stats.report import format_table
 
-#: Version of the BENCH_*.json payload layout.  v2 added ``mode`` — the
-#: execution engine (reference / relaxed) the suite ran under; snapshots
-#: of different modes measure different engines and a comparison between
-#: them is a *speedup report*, not a regression gate.
+#: Version of the BENCH_*.json payload layout.  Snapshots written while
+#: the simulator had a second engine also carry a ``mode`` key; it is
+#: ignored, so the committed ``BENCH_seed.json`` and cached baselines
+#: still load.
 BENCH_SCHEMA_VERSION = 2
 
 #: Pinned suites: (workload, protocol label) pairs.  Pinning matters —
@@ -70,22 +68,15 @@ SUITES = {
 SUITE_PROCS = {"smoke": 4, "quick": 8, "full": 32}
 
 
-def suite_specs(suite, procs=None, mode=None):
+def suite_specs(suite, procs=None):
     """The pinned run list for a suite as ``(workload, protocol, spec)``
-    triples.  ``mode`` (an :class:`~repro.config.ExecutionMode` or its
-    string value) pins the execution engine; ``None`` keeps the config's
-    own resolution (the ``DSI_MODE`` environment variable, else
-    reference)."""
+    triples."""
     if suite not in SUITES:
         raise ConfigError(f"unknown bench suite {suite!r}; have {sorted(SUITES)}")
     n_procs = procs if procs else SUITE_PROCS[suite]
-    if mode is not None:
-        mode = ExecutionMode(mode)
     triples = []
     for workload, protocol in SUITES[suite]:
         config = paper_config(protocol, n_procs=n_procs)
-        if mode is not None:
-            config = replace(config, execution_mode=mode)
         if workload in WORKLOADS:
             args = workload_args(workload, quick=True, n_procs=n_procs)
         else:
@@ -100,7 +91,7 @@ def default_path(when=None):
     return f"BENCH_{stamp}.json"
 
 
-def run_bench(suite="quick", procs=None, jobs=1, repeat=1, verbose=False, mode=None,
+def run_bench(suite="quick", procs=None, jobs=1, repeat=1, verbose=False,
               telemetry=None):
     """Run one suite and return the snapshot payload.
 
@@ -110,8 +101,7 @@ def run_bench(suite="quick", procs=None, jobs=1, repeat=1, verbose=False, mode=N
     wall time, the standard defense against warm-up and scheduler noise;
     simulated quantities are deterministic so repeats agree on them.
     The result cache is bypassed: a benchmark that can be served from
-    cache measures nothing.  ``mode`` pins the execution engine for the
-    whole suite; the snapshot records the mode it actually ran under.
+    cache measures nothing.
 
     ``telemetry`` (a :class:`~repro.harness.telemetry.TelemetryConfig`)
     attaches the harness observatory: one pool spans every repeat round,
@@ -121,16 +111,7 @@ def run_bench(suite="quick", procs=None, jobs=1, repeat=1, verbose=False, mode=N
     """
     if repeat < 1:
         raise ConfigError("repeat must be >= 1")
-    triples = suite_specs(suite, procs=procs, mode=mode)
-    resolved_mode = triples[0][2].config.execution_mode.value
-    if mode is not None and resolved_mode != ExecutionMode(mode).value:
-        # ``SystemConfig.__post_init__`` re-applies DSI_MODE on every
-        # construction, so the environment silently outvotes an explicit
-        # request — refuse rather than snapshot a mislabeled suite.
-        raise ConfigError(
-            f"requested mode {ExecutionMode(mode).value!r} but DSI_MODE="
-            f"{os.environ.get('DSI_MODE')!r} forces {resolved_mode!r}; unset it first"
-        )
+    triples = suite_specs(suite, procs=procs)
     n_procs = procs if procs else SUITE_PROCS[suite]
     best = {}
     started = time.time()
@@ -187,7 +168,6 @@ def run_bench(suite="quick", procs=None, jobs=1, repeat=1, verbose=False, mode=N
         "schema_version": BENCH_SCHEMA_VERSION,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(started)),
         "suite": suite,
-        "mode": resolved_mode,
         "procs": n_procs,
         "jobs": jobs,
         "repeat": repeat,
@@ -228,7 +208,7 @@ def validate_payload(payload):
         raise ConfigError(
             f"bench payload schema_version {version!r} != {BENCH_SCHEMA_VERSION}"
         )
-    for field in ("suite", "mode", "created", "runs", "totals", "host"):
+    for field in ("suite", "created", "runs", "totals", "host"):
         if field not in payload:
             raise ConfigError(f"bench payload missing {field!r}")
     if not isinstance(payload["runs"], list) or not payload["runs"]:
@@ -359,26 +339,26 @@ def format_history(snapshots):
     for path, payload in snapshots:
         totals = payload["totals"]
         speed = totals["sim_cycles_per_s"]
-        suite_mode = (payload["suite"], payload["mode"])
-        delta = _ratio(speed, previous_speed.get(suite_mode))
+        wall = totals["wall_time_s"]  # None in the committed seed
+        suite = payload["suite"]
+        delta = _ratio(speed, previous_speed.get(suite))
         if speed:
-            previous_speed[suite_mode] = speed
+            previous_speed[suite] = speed
         rows.append(
             [
                 payload["created"],
-                payload["suite"],
-                payload["mode"],
+                suite,
                 len(payload["runs"]),
-                f"{totals['wall_time_s']:.1f}",
+                "-" if wall is None else f"{wall:.1f}",
                 _kcyc(speed),
                 _pct(delta),
                 os.path.basename(path),
             ]
         )
     return format_table(
-        ["created", "suite", "mode", "runs", "wall_s", "cyc/s", "drift", "file"],
+        ["created", "suite", "runs", "wall_s", "cyc/s", "drift", "file"],
         rows,
-        title="bench history (drift vs previous snapshot of the same suite+mode)",
+        title="bench history (drift vs previous snapshot of the same suite)",
     )
 
 

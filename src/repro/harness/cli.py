@@ -184,18 +184,7 @@ def build_parser():
         action="store_true",
         help="run: interpreted execution paths only — disable the compiled "
         "transition dispatch and the direct-execution batcher (results are "
-        "bit-identical either way; this is the debugging escape hatch, also "
-        "available process-wide via the DSI_NO_FASTPATH environment variable)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("reference", "relaxed"),
-        default=None,
-        help="run/bench: execution engine — 'reference' is the event-exact "
-        "oracle, 'relaxed' retires uncontended transactions on the bucketed "
-        "queue + Message-free lanes (observationally equal: every reported "
-        "quantity except the internal event count matches the reference; "
-        "also available process-wide via the DSI_MODE environment variable)",
+        "bit-identical either way; this is the debugging escape hatch)",
     )
     parser.add_argument(
         "--latency", type=int, default=100, help="run: network latency in cycles"
@@ -316,7 +305,7 @@ def build_parser():
         default=None,
         metavar="DIR",
         help="bench: list every BENCH_*.json snapshot under DIR (default "
-        "'.') oldest-first with speed drift per suite+mode, instead of "
+        "'.') oldest-first with speed drift per suite, instead of "
         "running",
     )
     parser.add_argument(
@@ -676,10 +665,6 @@ def _protocol_overrides(args):
     if getattr(args, "no_fastpath", False):
         overrides["compiled_dispatch"] = False
         overrides["direct_execution"] = False
-    if getattr(args, "mode", None):
-        from repro.config import ExecutionMode
-
-        overrides["execution_mode"] = ExecutionMode(args.mode)
     return overrides
 
 
@@ -1240,7 +1225,6 @@ def _bench(args):
             jobs=args.jobs or 1,
             repeat=args.repeat,
             verbose=args.verbose,
-            mode=args.mode,
             telemetry=_telemetry_config(args),
         )
     except ConfigError as exc:
@@ -1265,8 +1249,7 @@ def _bench(args):
             ["workload", "proto", "exec_time", "wall_s", "cyc/s", "messages"],
             rows,
             title=f"bench suite '{payload['suite']}' "
-            f"(mode={payload['mode']}, procs={payload['procs']}, "
-            f"repeat={payload['repeat']})",
+            f"(procs={payload['procs']}, repeat={payload['repeat']})",
         ))
         totals = payload["totals"]
         speed = totals["sim_cycles_per_s"]

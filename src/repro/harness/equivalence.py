@@ -9,7 +9,8 @@ module is that claim as an executable proof: it sweeps every structural
 protocol variant (the 44 combinations of
 :func:`repro.coherence.variants.enumerate_variants` over both migratory
 settings, plus SC/WC Tardis) across every paper workload, runs each
-program once per execution mode, and compares the full records.
+program once interpreted and once compiled, and compares the full
+records.
 
 Run it directly::
 
@@ -18,10 +19,6 @@ Run it directly::
 
 A focused subset runs in the tier-1 suite (``tests/test_equivalence.py``);
 the full sweep is CI/nightly material (a few minutes of simulation).
-
-Note: the ``DSI_NO_FASTPATH`` escape hatch forces *every* config to the
-interpreted paths — under it this harness would compare the reference
-against itself.  :func:`main` refuses to run in that case.
 """
 
 import argparse
@@ -29,14 +26,13 @@ import os
 import sys
 from dataclasses import replace
 
-import repro.system as system_mod
 from repro.coherence.variants import (
     ProtocolVariant,
     TearoffMode,
     enumerate_variants,
     tardis_variants,
 )
-from repro.config import Consistency, ExecutionMode, SystemConfig
+from repro.config import Consistency, SystemConfig
 from repro.errors import ConfigError
 from repro.harness.configs import SMALL_CACHE, WORKLOADS, workload_args
 from repro.harness.runspec import RunSpec
@@ -122,96 +118,6 @@ def localize_layer(workload, config, wl_args):
     dispatch_only = replace(config, compiled_dispatch=True, direct_execution=False)
     equal, _diffs = check_pair(workload, dispatch_only, wl_args)
     return "fastpath (direct execution)" if equal else "compiled dispatch"
-
-
-# ----------------------------------------------------------------------
-# Observational equivalence: the relaxed engine vs the reference oracle
-# ----------------------------------------------------------------------
-#: layer activation order for mismatch localization: the bucketed event
-#: queue alone first (pure scheduling substrate), then the protocol
-#: lanes on top of it (production configuration)
-RELAXED_LAYER_ORDER = ("queue", "lanes")
-
-
-def relaxed_config(config):
-    """The relaxed-engine twin of ``config``."""
-    return replace(config, execution_mode=ExecutionMode.RELAXED)
-
-
-def compare_observational(relaxed, ref):
-    """Fields differing under *observational* equality.
-
-    Same basis as :func:`compare_records` minus ``events_fired`` — the
-    relaxed engine's entire point is firing fewer events; everything the
-    paper's figures are built from (exec_time, the per-type message
-    counts, the miss mix, controller occupancies) must stay exact."""
-    relaxed_dict = relaxed._measured_dict()
-    ref_dict = ref._measured_dict()
-    relaxed_dict.pop("events_fired", None)
-    return [
-        key for key in relaxed_dict
-        if key != "events_fired" and relaxed_dict[key] != ref_dict[key]
-    ]
-
-
-def check_pair_observational(workload, config, wl_args):
-    """Run ``workload`` once relaxed and once on the reference engine.
-
-    ``config`` is the reference-side config (its fastpath settings are
-    kept: they are bit-identical by the proof above, and the production
-    default).  Returns ``(equal, differing_field_names)``."""
-    relaxed_spec = RunSpec.create(workload, relaxed_config(config), **wl_args)
-    ref_spec = RunSpec.create(workload, config, **wl_args)
-    program = relaxed_spec.build_program()
-    relaxed = relaxed_spec.execute(program)
-    ref = ref_spec.execute(program)
-    diffs = compare_observational(relaxed, ref)
-    return not diffs, diffs
-
-
-def localize_relaxed_layer(workload, config, wl_args):
-    """Name the relaxed-engine layer an observational mismatch lives in.
-
-    Re-runs the pair with cumulative layer subsets (transport elision
-    alone, + protocol lanes, + bucket queue); the first subset that
-    diverges names the guilty layer."""
-    saved = system_mod.RELAXED_LAYERS
-    try:
-        enabled = []
-        for layer in RELAXED_LAYER_ORDER:
-            enabled.append(layer)
-            system_mod.RELAXED_LAYERS = frozenset(enabled)
-            equal, _diffs = check_pair_observational(workload, config, wl_args)
-            if not equal:
-                return layer
-        return "unlocalized"
-    finally:
-        system_mod.RELAXED_LAYERS = saved
-
-
-def sweep_observational(variants=None, workloads=WORKLOADS, n_procs=SWEEP_PROCS,
-                        quick=True, out=None):
-    """Prove relaxed == reference observationally over variants x workloads.
-
-    Returns failure tuples ``(variant_label, workload, diffs, layer)``."""
-    if variants is None:
-        variants = all_variants()
-    failures = []
-    for variant in variants:
-        config = config_for_variant(variant, n_procs=n_procs)
-        marks = []
-        for workload in workloads:
-            wl_args = workload_args(workload, quick=quick, n_procs=n_procs)
-            equal, diffs = check_pair_observational(workload, config, wl_args)
-            if equal:
-                marks.append(f"{workload}:ok")
-            else:
-                layer = localize_relaxed_layer(workload, config, wl_args)
-                failures.append((variant.describe(), workload, diffs, layer))
-                marks.append(f"{workload}:DIFF({','.join(diffs)})")
-        if out is not None:
-            print(f"{variant.describe():28s} {' '.join(marks)}", file=out)
-    return failures
 
 
 # ----------------------------------------------------------------------
@@ -352,13 +258,6 @@ def main(argv=None):
         help="use full-scale workload parameters instead of the quick set",
     )
     parser.add_argument(
-        "--observational",
-        action="store_true",
-        help="prove the relaxed engine observationally equal to the reference "
-        "oracle (every measured field except events_fired) instead of the "
-        "compiled-vs-interpreted bit-identity proof",
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help="prove the harness observatory invisible: telemetry/profile "
@@ -382,22 +281,6 @@ def main(argv=None):
               "log reconciles with manifest (zero lost events)")
         return 0
 
-    if args.observational and os.environ.get("DSI_MODE"):
-        print(
-            "equivalence: DSI_MODE is set — both sides of the observational "
-            "comparison would run the same engine; unset it first.",
-            file=sys.stderr,
-        )
-        return 2
-
-    if os.environ.get("DSI_NO_FASTPATH"):
-        print(
-            "equivalence: DSI_NO_FASTPATH is set — every config would take the "
-            "interpreted paths and the comparison would be vacuous; unset it first.",
-            file=sys.stderr,
-        )
-        return 2
-
     variants = all_variants()
     if args.k:
         variants = [v for v in variants if args.k in v.describe()]
@@ -406,14 +289,12 @@ def main(argv=None):
             return 2
 
     pairs = len(variants) * len(args.workloads)
-    mode = "observational (relaxed vs reference)" if args.observational else "bit-identity"
     print(
-        f"# equivalence sweep [{mode}]: {len(variants)} variants x "
+        f"# equivalence sweep [bit-identity]: {len(variants)} variants x "
         f"{len(args.workloads)} workloads = {pairs} pairs "
         f"({args.procs} processors, {'full' if args.full_scale else 'quick'} scale)"
     )
-    sweep_fn = sweep_observational if args.observational else sweep
-    failures = sweep_fn(
+    failures = sweep(
         variants,
         workloads=args.workloads,
         n_procs=args.procs,
@@ -425,10 +306,7 @@ def main(argv=None):
         for label, workload, diffs, layer in failures:
             print(f"  {label} / {workload}: {', '.join(diffs)} [{layer}]")
         return 1
-    if args.observational:
-        print(f"\nOK: all {pairs} pairs observationally equal (events_fired excluded)")
-    else:
-        print(f"\nOK: all {pairs} pairs bit-identical (telemetry excluded)")
+    print(f"\nOK: all {pairs} pairs bit-identical (telemetry excluded)")
     return 0
 
 

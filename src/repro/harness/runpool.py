@@ -110,26 +110,18 @@ def code_fingerprint():
     """Digest of every ``repro`` source file (cached per process).
 
     Any edit to the simulator, protocol, workloads or harness changes the
-    fingerprint and thereby orphans all previously cached records.  The
-    execution modes are folded in too: ``DSI_NO_FASTPATH`` forces every
-    config onto the interpreted paths and ``DSI_MODE`` selects the
-    transaction-retirement engine *after* spec construction, so two
-    processes differing only in those variables must not share cache
-    entries — they fingerprint (and therefore cache) separately.
-
-    Telemetry settings (``--log``, ``--live``, ``--profile``) are
-    deliberately *not* folded in: observability never affects
-    simulation results (the equivalence harness proves it), so it must
+    fingerprint and thereby orphans all previously cached records.  No
+    environment variable is folded in: a
+    :class:`~repro.config.SystemConfig` is a pure value, so a spec's key
+    and the source alone decide its result.  Telemetry settings
+    (``--log``, ``--live``, ``--profile``) never affect simulation
+    results either (the equivalence harness proves it), so they must
     never bust the result cache.
     """
-    mode = "reference" if os.environ.get("DSI_NO_FASTPATH") else "fast"
-    engine = os.environ.get("DSI_MODE") or "default"
-    fingerprint = _FINGERPRINTS.get((mode, engine))
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
+    fingerprint = _FINGERPRINTS.get(package_dir)
     if fingerprint is None:
-        package_dir = os.path.dirname(os.path.abspath(repro.__file__))
         digest = hashlib.sha256()
-        digest.update(f"execution-mode:{mode}\n".encode("utf-8"))
-        digest.update(f"engine-mode:{engine}\n".encode("utf-8"))
         for root, dirs, files in sorted(os.walk(package_dir)):
             dirs.sort()
             for name in sorted(files):
@@ -139,7 +131,7 @@ def code_fingerprint():
                 digest.update(os.path.relpath(path, package_dir).encode("utf-8"))
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
-        fingerprint = _FINGERPRINTS[(mode, engine)] = digest.hexdigest()
+        fingerprint = _FINGERPRINTS[package_dir] = digest.hexdigest()
     return fingerprint
 
 

@@ -96,73 +96,6 @@ class Network:
         sinks = self.dir_sinks if _IS_DIR_BOUND[msg.kind] else self.cache_sinks
         sinks[msg.dst].receive(msg)
 
-    # --- relaxed-engine Message-free lanes ----------------------------
-    # The relaxed execution mode (repro.config.ExecutionMode.RELAXED)
-    # moves the hottest uncontended coherence transactions through
-    # *lanes*: the same event chain as the reference engine — NI service
-    # completion, transit, controller service completion, each a
-    # scheduled event at the same cycle, created at the same point of
-    # execution — but with the per-event payload stripped to straight
-    # line code.  No Message object, no per-hop closure, no table
-    # dispatch; the hop delays are folded into precomputed constants.
-    # Because every schedule call happens at the same moment in both
-    # engines, event order is identical *by construction*: there is no
-    # ordering hazard to detect and bailing back to the reference
-    # machinery (materialize the Message, call the reference handler at
-    # the same point) is always exact.
-    #
-    # An earlier design elided the injection-end event outright and
-    # scheduled the delivery at send time.  The differential oracle
-    # killed it: the reference engine assigns a delivery's within-cycle
-    # position at injection end, and any event scheduled between send
-    # and injection end that lands on the same arrival cycle (a barrier
-    # release, a long compute block, another message) can interleave —
-    # an early-assigned position flips that order, and two flipped
-    # deliveries at different sinks become observable as soon as their
-    # causal chains converge on an exact service tie downstream.
-    # Exactness therefore demands the injection-end event exist; the
-    # lanes keep it and make it cheap instead.
-    #
-    # Relaxed mode is forced off under instrumentation, hence no obs
-    # probes on these paths.
-
-    def relaxed_send_local(self, kind_name, carries_data, arrival, args):
-        """Intra-node hop for a Message-free transfer.
-
-        Mirrors ``send`` for ``src == dst``: count, then deliver after
-        ``local_latency`` — one event, scheduled at the send point
-        exactly as the reference ``_deliver`` would be."""
-        self.counters.local[kind_name] += 1
-        self.in_flight += 1
-        self.sim.schedule(self._local_latency, arrival, *args)
-
-    def relaxed_send_remote(self, kind_name, src, carries_data, arrival, args):
-        """Remote hop for a Message-free transfer.
-
-        Mirrors ``send`` for ``src != dst``: count, occupy the sender's
-        network interface for the injection cost (the same ``submit``
-        and completion event as the reference path), then transit.  The
-        injection-end trampoline schedules the arrival at the exact
-        moment the reference ``_injected`` schedules ``_deliver``, so
-        within-cycle delivery order is preserved event-for-event."""
-        counters = self.counters
-        counters.network[kind_name] += 1
-        self.in_flight += 1
-        cost = self._inject_cycles
-        if carries_data:
-            counters.data_blocks_sent += 1
-            cost += self._inject_data_cycles
-        self.interfaces[src].submit(cost, self._lane_injected, arrival, args)
-
-    def _lane_injected(self, arrival, args):
-        self.sim.schedule(self._network_latency, arrival, *args)
-
-    def lane_arrived(self):
-        """Balance a lane send's ``in_flight`` increment (called first
-        thing by every lane arrival handler, where ``_deliver`` would
-        have decremented)."""
-        self.in_flight -= 1
-
     # ------------------------------------------------------------------
     def deadlock_diagnostic(self):
         if self.in_flight:

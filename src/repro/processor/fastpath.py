@@ -45,7 +45,7 @@ Equivalence contract (proved run-for-run by
 
 The fast path is disabled under Tardis (hits mutate lease state), under
 ``check_invariants`` (the monitor observes every access), and via
-``SystemConfig.direct_execution=False`` / ``DSI_NO_FASTPATH``.
+``SystemConfig.direct_execution=False`` (``dsi-sim run --no-fastpath``).
 Instrumented runs keep it on: the interpreted hit path fires no probes,
 so neither does the batcher.
 """

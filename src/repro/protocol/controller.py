@@ -222,7 +222,7 @@ class CacheController:
         self.table = cache_table(self.variant)
         self.ctable = compiled_cache_table(self.variant)
         # One bound decide per controller: the compiled guard-tree walk, or
-        # the original interpreter (--no-fastpath / DSI_NO_FASTPATH).
+        # the original interpreter (``dsi-sim run --no-fastpath``).
         self._decide = (
             self.ctable.decide if config.compiled_dispatch
             else self.ctable.decide_interpreted
@@ -265,13 +265,6 @@ class CacheController:
         # join it across nodes (Machine wires the hook).
         self._tardis = config.tardis
         self.pts = 0
-        # Relaxed engine: set by the Machine when the Message-free lanes
-        # are active; the processor binds its entry points accordingly.
-        self.relaxed = False
-        # Lane hot-path prebinds (the lanes' whole point is shaving
-        # per-transaction interpreter overhead).
-        self._ccc = config.cache_ctrl_cycles
-        self._submit = self.resource.submit
 
     # ------------------------------------------------------------------
     # Symbolic state derivation and dispatch
@@ -418,8 +411,6 @@ class CacheController:
         """Processor load.  Returns HIT, or WAIT (``on_done(inval_wait,
         reason)`` fires later; reason is "miss" or "read_wb")."""
         frame = self.cache.lookup(block)
-        if self.relaxed and frame is None and block not in self.mshrs:
-            return self._lane_read_miss(block, on_done)
         return self._dispatch(_EV_LOAD, _Ctx(self, block, frame=frame, on_done=on_done))
 
     def write(self, block, stamp, on_done):
@@ -432,12 +423,6 @@ class CacheController:
         write has been accepted.
         """
         frame = self.cache.lookup(block)
-        if (
-            self.relaxed
-            and block not in self.mshrs
-            and (frame is None or frame.state != EXCLUSIVE)
-        ):
-            return self._lane_write_miss(block, stamp, on_done, frame)
         ctx = _Ctx(self, block, frame=frame, stamp=stamp, on_done=on_done,
                    blocking=not self._wc)
         return self._dispatch(_EV_STORE, ctx)
@@ -730,183 +715,6 @@ class CacheController:
     def _evict(self, victim):
         ctx = _Ctx(self, victim.block, victim=victim)
         self._dispatch(_EV_EVICT, ctx, state=self._frame_state_idx(victim))
-
-    # ------------------------------------------------------------------
-    # Relaxed-engine lanes (Message-free uncontended transactions)
-    # ------------------------------------------------------------------
-    # Active only when the Machine set ``self.relaxed`` (ExecutionMode
-    # .RELAXED, no instrumentation, no invariant monitor, not Tardis).
-    # Each lane is a straight-line replica of exactly one reference table
-    # row, scheduling the same events at the same cycles — the request's
-    # service at this controller, its network-interface injection, the
-    # transit hop, and the response's service — without building Message
-    # or _Ctx objects or walking the transition table.  Any shape the
-    # lane doesn't cover *bails*: it materializes the Message and runs
-    # the reference ``_process`` at the very point the reference engine
-    # would have, which makes a bail exact by construction.
-
-    def _lane_read_miss(self, block, on_done):
-        # LOAD x I: COUNT_READ_MISS [DROP_SC_TEAROFF] ALLOC_MSHR_READ SEND_GETS
-        self.misses.read_misses += 1
-        if self._sc_tearoff:
-            self._drop_sc_tearoff()
-        mshr = Mshr(MSHR_READ, block, on_done=on_done)
-        mshr.issued_at = self.sim.now
-        self.mshrs[block] = mshr
-        version = self.cache.stored_version(block) if self._send_versions else None
-        self._submit(self._ccc, self._lane_send_gets, block, version)
-        return WAIT
-
-    def _lane_send_gets(self, block, version):
-        net = self.network
-        home = self.home_map.home_of(block)
-        target = net.dir_sinks[home]._lane_gets
-        args = (block, self.node, version)
-        if home == self.node:
-            net.relaxed_send_local("GETS", False, target, args)
-        else:
-            net.relaxed_send_remote("GETS", self.node, False, target, args)
-
-    def _lane_write_miss(self, block, stamp, on_done, frame):
-        # STORE x S/T/I (the blocking SC rows, or the buffered WC rows).
-        # The row is chosen on the *pre-action* state, exactly like the
-        # table dispatch: DROP_SC_TEAROFF below may invalidate this very
-        # frame (a store to the registered tear-off copy).
-        tearoff_shape = frame is not None and frame.tearoff
-        if self._wc:
-            if self.write_buffer.full:
-                self.write_buffer.when_space(
-                    lambda: self._wc_write_retry(block, stamp, on_done)
-                )
-                return WAIT
-            self.misses.write_misses += 1
-            self.write_buffer.allocate(block, stamp, self.sim.now)
-            on_done = None
-            result = DONE
-        else:
-            self.misses.write_misses += 1
-            if self._sc_tearoff:
-                self._drop_sc_tearoff()
-            result = WAIT
-        if frame is not None and not tearoff_shape:
-            # tracked shared copy: PIN_ALLOC_MSHR_UPGRADE SEND_UPGRADE
-            mshr = Mshr(MSHR_UPGRADE, block, on_done=on_done, stamp=stamp,
-                        frame=frame)
-            frame.pinned = True
-            self.misses.upgrades += 1
-            upgrade = True
-        else:
-            if frame is not None:
-                # tear-off copy, invisible to the full map: full GETX
-                self.cache.invalidate(frame)
-            mshr = Mshr(MSHR_WRITE, block, on_done=on_done, stamp=stamp)
-            upgrade = False
-        mshr.issued_at = self.sim.now
-        self.mshrs[block] = mshr
-        version = self.cache.stored_version(block) if self._send_versions else None
-        self._submit(self._ccc, self._lane_send_write_req, block, version, upgrade)
-        return result
-
-    def _lane_send_write_req(self, block, version, upgrade):
-        net = self.network
-        home = self.home_map.home_of(block)
-        target = net.dir_sinks[home]._lane_write
-        args = (block, self.node, version, upgrade)
-        name = "UPGRADE" if upgrade else "GETX"
-        if home == self.node:
-            net.relaxed_send_local(name, False, target, args)
-        else:
-            net.relaxed_send_remote(name, self.node, False, target, args)
-
-    # -- lane response arrivals (scheduled by the home directory) ------
-    def _lane_data(self, block, data, version, si, tearoff):
-        self.network.in_flight -= 1
-        self._submit(self._ccc, self._lane_data_work, block, data, version, si, tearoff)
-
-    def _lane_data_work(self, block, data, version, si, tearoff):
-        mshr = self.mshrs.get(block)
-        if mshr is None or mshr.kind != MSHR_READ:
-            self._process(Message(
-                MsgKind.DATA, block, src=self.home_map.home_of(block),
-                dst=self.node, version=version, si=si, tearoff=tearoff,
-                data=data, carries_data=True,
-            ))
-            return
-        # DATA x IS_D: POP_CLOSE_MSHR FILL_S
-        del self.mshrs[block]
-        self._fill(
-            block, SHARED, data, version=version, si=si, tearoff=tearoff,
-            then=lambda frame: self._lane_read_complete(mshr, frame),
-        )
-
-    def _lane_read_complete(self, mshr, frame):
-        if mshr.on_done is not None:
-            mshr.on_done(0, "miss")
-        if mshr.pending_write is not None:
-            (stamp,) = mshr.pending_write
-            ctx = _Ctx(self, mshr.block, frame=frame, stamp=stamp)
-            self._dispatch(_EV_WRITE_AFTER_READ, ctx,
-                           state=self._frame_state_idx(frame))
-
-    def _lane_data_ex(self, block, data, version, si):
-        self.network.in_flight -= 1
-        self._submit(self._ccc, self._lane_data_ex_work, block, data, version, si)
-
-    def _lane_data_ex_work(self, block, data, version, si):
-        mshr = self.mshrs.get(block)
-        if mshr is None or mshr.kind != MSHR_WRITE or mshr.acks_pending:
-            self._process(Message(
-                MsgKind.DATA_EX, block, src=self.home_map.home_of(block),
-                dst=self.node, version=version, si=si, data=data,
-                carries_data=True,
-            ))
-            return
-        # DATA_EX x IM_D: FILL_E_DIRTY
-        self._fill(
-            block, EXCLUSIVE, mshr.stamp, version=version, si=si, dirty=True,
-            then=lambda frame: self._lane_write_granted(mshr, frame),
-        )
-
-    def _lane_upgrade_ack(self, block, data, version, si):
-        self.network.in_flight -= 1
-        self._submit(self._ccc, self._lane_upgrade_ack_work, block, data, version, si)
-
-    def _lane_upgrade_ack_work(self, block, data, version, si):
-        mshr = self.mshrs.get(block)
-        if (
-            mshr is None
-            or mshr.kind != MSHR_UPGRADE
-            or mshr.invalidated
-            or mshr.acks_pending
-        ):
-            self._process(Message(
-                MsgKind.UPGRADE_ACK, block, src=self.home_map.home_of(block),
-                dst=self.node, version=version, si=si, data=data,
-            ))
-            return
-        # UPGRADE_ACK x SM_W: UNPIN RETRY_DEFERRED_FILLS PROMOTE_TO_EXCLUSIVE
-        #                     APPLY_MSHR_WRITE MARK_SI_FROM_GRANT WRITE_GRANTED
-        frame = mshr.frame
-        frame.pinned = False
-        self.retry_deferred_fills()
-        frame.state = EXCLUSIVE
-        frame.version = version
-        self.cache.note_frame_changed(frame)
-        self._apply_write(frame, mshr.stamp)
-        if si:
-            self.cache.mark_si(frame)
-            self._after_si_fill(frame)
-        else:
-            self.cache.mark_si(frame, marked=False)
-        self._lane_write_granted(mshr, frame)
-
-    def _lane_write_granted(self, mshr, frame):
-        # _write_granted with a dataless uncontended grant: no acks
-        # pending, zero measured invalidation wait.
-        for waiter in mshr.read_waiters:
-            waiter(0, "read_wb")
-        mshr.read_waiters = []
-        self._write_complete(mshr, 0)
 
     # ------------------------------------------------------------------
     # Action implementations (one bound method per CacheAction)

@@ -10,10 +10,10 @@ This is the main entry point of the library::
     print(result.exec_time, result.aggregate_breakdown().as_dict())
 """
 
-from repro.config import ExecutionMode, SystemConfig
+from repro.config import SystemConfig
 from repro.core.identify import make_policy
 from repro.directory.controller import DirectoryController
-from repro.engine.simulator import BucketSimulator, Simulator
+from repro.engine.simulator import Simulator
 from repro.errors import ConfigError, SimulationError
 from repro.memory.address import RoundRobinHome, SegmentHome
 from repro.network.network import Network
@@ -23,13 +23,6 @@ from repro.protocol.controller import CacheController
 from repro.protocol.monitor import CoherenceMonitor, TardisMonitor
 from repro.stats.counters import MessageCounters, MissCounters
 from repro.stats.report import RunResult
-
-
-#: The relaxed engine's independently-toggleable layers: the per-cycle
-#: bucketed event queue and the Message-free protocol fast lanes.  The
-#: equivalence harness narrows this set to localize an observational
-#: mismatch to one layer; production relaxed runs always use both.
-RELAXED_LAYERS = frozenset({"queue", "lanes"})
 
 
 class Machine:
@@ -45,21 +38,7 @@ class Machine:
             )
         self.config = config
         self.program = program
-        # The relaxed engine is forced back to the reference oracle when
-        # anything watches the event stream (instrumentation, the
-        # invariant monitor): the probe-bus and audit guarantees are
-        # defined over reference-engine event shapes.  Custom network
-        # classes also force reference — the lanes fold the base class's
-        # constant transit latency into their hop arithmetic.
-        self.relaxed = (
-            config.execution_mode is ExecutionMode.RELAXED
-            and instrument is None
-            and not config.check_invariants
-            and network_cls is Network
-        )
-        layers = RELAXED_LAYERS if self.relaxed else frozenset()
-        sim_cls = BucketSimulator if "queue" in layers else Simulator
-        self.sim = sim_cls(max_events=config.max_events or None)
+        self.sim = Simulator(max_events=config.max_events or None)
         self.counters = MessageCounters()
         self.misses = MissCounters()
         self.instrument = instrument
@@ -93,13 +72,6 @@ class Machine:
         ]
         for node in range(config.n_processors):
             self.network.attach(node, self.controllers[node], self.directories[node])
-        # The protocol lanes cover the plain-protocol request shapes;
-        # Tardis timestamps ride on every request/grant, so leased
-        # configs stay on the reference handlers (still under the
-        # bucketed queue).
-        if self.relaxed and "lanes" in layers and not config.tardis:
-            for controller in self.controllers:
-                controller.relaxed = True
         self.locks = LockManager()
         self.barrier = BarrierManager(self.sim, config.n_processors, config.barrier_latency)
         if config.tardis:

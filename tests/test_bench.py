@@ -2,12 +2,14 @@
 
 import copy
 import json
+import os
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.harness import bench
 
+SEED = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_seed.json")
 
 @pytest.fixture(scope="module")
 def snapshot():
@@ -86,6 +88,32 @@ class TestSnapshot:
         bad["runs"] = []
         with pytest.raises(ConfigError, match="no runs"):
             bench.validate_payload(bad)
+
+    def test_validate_accepts_snapshot_without_mode(self, snapshot):
+        modeless = copy.deepcopy(snapshot)
+        modeless.pop("mode", None)
+        assert bench.validate_payload(modeless) is modeless
+
+    def test_committed_seed_baseline_loads(self):
+        # CI falls back to the committed seed when its baseline cache is
+        # cold; the seed predates the single engine and carries "mode".
+        seed = bench.load_payload(SEED)
+        rows, regressions = bench.compare(seed, seed, sim_threshold=0.01)
+        assert not regressions
+        assert len(rows) == len(bench.SUITES[seed["suite"]])
+
+    def test_history_groups_by_suite(self, snapshot, tmp_path):
+        older = copy.deepcopy(snapshot)
+        older["created"] = "2000-01-01T00:00:00"
+        older["mode"] = "reference"  # written before the single engine
+        older["totals"]["sim_cycles_per_s"] = snapshot["totals"]["sim_cycles_per_s"] / 2
+        bench.write_payload(older, str(tmp_path / "BENCH_old.json"))
+        bench.write_payload(snapshot, str(tmp_path / "BENCH_new.json"))
+        # The seed's host-speed fields are null; it must still render.
+        bench.write_payload(bench.load_payload(SEED), str(tmp_path / "BENCH_seed.json"))
+        snapshots, skipped = bench.collect_history(str(tmp_path))
+        assert not skipped and len(snapshots) == 3
+        assert "+100.0%" in bench.format_history(snapshots)
 
     def test_default_path_shape(self):
         assert bench.default_path(0).startswith("BENCH_19")  # epoch, local time

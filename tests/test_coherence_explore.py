@@ -11,7 +11,7 @@ Two kinds of evidence that the checker actually checks something:
 """
 
 from repro.coherence.explore import Checker, check_variant, default_configs
-from repro.coherence.variants import Bugs, NO_BUGS, enumerate_variants
+from repro.coherence.variants import Bugs, enumerate_variants
 
 ALL_VARIANTS = tuple(enumerate_variants(False)) + tuple(enumerate_variants(True))
 

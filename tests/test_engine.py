@@ -2,55 +2,10 @@
 
 import pytest
 
-from repro.engine.event_queue import EventQueue
 from repro.engine.process import Process, Timeout, Waiter
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 from repro.errors import DeadlockError, SimulationError
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(30, fired.append, (30,))
-        queue.push(10, fired.append, (10,))
-        queue.push(20, fired.append, (20,))
-        times = [queue.pop()[0] for _ in range(3)]
-        assert times == [10, 20, 30]
-
-    def test_fifo_within_same_time(self):
-        queue = EventQueue()
-        queue.push(5, "first", ())
-        queue.push(5, "second", ())
-        queue.push(5, "third", ())
-        order = [queue.pop()[1] for _ in range(3)]
-        assert order == ["first", "second", "third"]
-
-    def test_len_and_bool(self):
-        queue = EventQueue()
-        assert not queue
-        assert len(queue) == 0
-        queue.push(1, None, ())
-        assert queue
-        assert len(queue) == 1
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        queue.push(42, None, ())
-        queue.push(7, None, ())
-        assert queue.peek_time() == 7
-
-    def test_negative_time_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(SimulationError):
-            queue.push(-1, None, ())
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(1, None, ())
-        queue.clear()
-        assert not queue
 
 
 class TestSimulator:
@@ -132,6 +87,37 @@ class TestSimulator:
         sim.schedule(1, forever)
         with pytest.raises(SimulationError, match="livelock"):
             sim.run()
+
+    def test_max_events_trips_on_same_cycle_livelock(self):
+        # A callback that reschedules itself with delay 0 never leaves its
+        # cycle, so the bound must be checked per event, not per cycle.
+        sim = Simulator(max_events=1000)
+
+        def spin():
+            sim.schedule(0, spin)
+
+        sim.schedule(0, spin)
+        with pytest.raises(SimulationError, match="livelock"):
+            sim.run()
+        assert sim.events_fired == 1001
+
+    def test_max_events_trip_leaves_rest_of_cycle_queued(self):
+        sim = Simulator(max_events=3)
+        log = []
+
+        def chain(n):
+            log.append(n)
+            if n < 5:
+                sim.schedule(0, chain, n + 1)
+
+        sim.schedule(2, chain, 0)
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert log == [0, 1, 2, 3]
+        sim.max_events = None
+        sim.run()
+        assert log == [0, 1, 2, 3, 4, 5]
+        assert sim.events_fired == 6 and sim.now == 2
 
     def test_deadlock_hook_fires(self):
         sim = Simulator()

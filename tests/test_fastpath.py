@@ -4,7 +4,7 @@ The batcher (:mod:`repro.processor.fastpath`) must hand control back to
 the interpreted loop at exactly the right ops: the first miss, the first
 touch of a DSI-marked or tear-off block, the first write-buffer
 interaction, and every synchronization operation.  These tests pin that
-boundary two ways:
+boundary three ways:
 
 * **Probe-sequence equality** — a recording instrument captures every
   timestamped probe (transitions, messages, fills, self-invalidations,
@@ -16,6 +16,10 @@ boundary two ways:
 * **Counter arithmetic** — on traces simple enough to reason about
   exactly, the batcher's ``retired_ops`` / ``handoffs`` / ``boundaries``
   counters are asserted against hand-computed values.
+* **Record equality at the edges** — sync ops exactly on a batch edge,
+  FIFO-overflow bursts, Tardis ``lease=1`` expiry and the tear-off
+  write shapes: configs outside the equivalence grid, whose compiled and
+  interpreted records must match, ``events_fired`` included.
 """
 
 from dataclasses import replace
@@ -29,6 +33,7 @@ from repro.stats.record import RunRecord
 from repro.system import Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
+from repro.workloads import by_name
 
 BLOCK = 32  # bytes per block (config default)
 SEGMENT = 1 << 22  # bytes per home segment (repro.memory.address)
@@ -285,64 +290,81 @@ class TestBoundarySoup:
 
 
 # ---------------------------------------------------------------------------
-# Composition with the relaxed engine
+# Span-boundary regressions (deterministic, hand-sized)
 # ---------------------------------------------------------------------------
 
 
-class TestRelaxedComposition:
-    """The batcher rides on top of the relaxed engine's bucketed queue.
+def _assert_paths_identical(config, program):
+    """Run ``program`` on the compiled paths and on the interpreted
+    reference; the records must be equal, ``events_fired`` included."""
+    _, fast, _ = _run(config, program)
+    _, ref, _ = _run(_reference(config), program)
+    assert fast == ref
+    assert fast.events_fired == ref.events_fired
+    return fast
 
-    The fast path and the relaxed engine optimize different layers —
-    hit retirement versus transaction plumbing — and a relaxed machine
-    must keep batching hits while every measured quantity stays exactly
-    the reference oracle's (probe recording is unavailable here: an
-    instrument forces the machine back to the reference engine, which is
-    itself asserted below)."""
 
-    def _program(self, quantum):
-        # Hit runs sized exactly to the quantum, a sync op landing on the
-        # batch edge, then a cross-processor read that bails the batcher
-        # into the relaxed transaction lanes.
-        builders = [TraceBuilder(), TraceBuilder()]
-        for node, builder in enumerate(builders):
-            mine = _addr(3 + node, segment=node)
-            builder.write(mine)
-            for _ in range(quantum):
-                builder.read(mine)
-            builder.barrier(0)
-            builder.read(_addr(3 + (1 - node), segment=1 - node))
-            builder.barrier(1)
-        return Program("relaxed-edge", [b.build() for b in builders])
+class TestBatchBoundaries:
+    """Configs the 230-pair equivalence grid does not reach."""
 
-    def test_batcher_active_and_observationally_equal(self):
-        from repro.config import ExecutionMode
-        from repro.engine.simulator import BucketSimulator
-        from repro.harness.equivalence import compare_observational
-
-        for quantum in (4, 8):
-            program = self._program(quantum)
+    def test_sync_exactly_on_batch_edge(self):
+        # Two processors ping through a barrier placed so the preceding
+        # hit run's cost lands exactly on the processor quantum: with
+        # hit_cycles=1 and quantum=N, N hits complete *at* the batch
+        # edge and the sync op is the first op of the next span.  Sweep
+        # the quantum across the run length so every alignment of the
+        # barrier relative to the edge occurs, including exact ones.
+        for quantum in (4, 5, 6, 8):
+            builders = [TraceBuilder(), TraceBuilder()]
+            for node, builder in enumerate(builders):
+                mine = _addr(2 + node, segment=node)
+                builder.write(mine)
+                for _ in range(quantum):  # hits filling exactly one span
+                    builder.read(mine)
+                builder.barrier(0)
+                theirs = _addr(2 + (1 - node), segment=1 - node)
+                builder.read(theirs)
+                builder.barrier(1)
+            program = Program("sync-edge", [b.build() for b in builders])
             config = SystemConfig(n_processors=2, quantum=quantum)
-            relaxed_cfg = replace(config, execution_mode=ExecutionMode.RELAXED)
-            machine, relaxed_record, _ = _run(relaxed_cfg, program)
-            assert machine.relaxed
-            assert isinstance(machine.sim, BucketSimulator)
-            fasts = _fastpaths(machine)
-            assert all(f is not None and f.retired_ops >= quantum for f in fasts)
-            assert all(f.handoffs > 0 for f in fasts)  # sync + remote miss
-            _, ref_record, _ = _run(config, program)
-            diffs = compare_observational(relaxed_record, ref_record)
-            assert not diffs, f"quantum={quantum} diverged on: {', '.join(diffs)}"
+            record = _assert_paths_identical(config, program)
+            assert record.misses.read_misses >= 2  # the cross reads missed
 
-    def test_instrumented_relaxed_run_downgrades_and_stays_exact(self):
-        from repro.config import ExecutionMode
-        from repro.engine.simulator import Simulator
+    def test_fifo_overflow_burst_mid_batch(self):
+        # A DSI-FIFO config with a tiny FIFO: every fill of a marked
+        # block pushes an entry and the burst overflows the FIFO in the
+        # middle of a hit span.  The overflow invalidation changes which
+        # later accesses hit — any drift in when the burst lands shows up
+        # as a miss-mix difference.
+        config = SystemConfig(
+            n_processors=4,
+            identify=IdentifyScheme.VERSION,
+            si_mechanism=SIMechanism.FIFO,
+            fifo_entries=2,
+            cache_size=16384,
+        )
+        program = by_name("sparse", n_procs=4, x_words=512, iterations=3,
+                          a_words_per_proc=128)
+        record = _assert_paths_identical(config, program)
+        assert record.misses.fifo_overflows > 0  # the burst actually burst
 
-        program = self._program(4)
-        config = SystemConfig(n_processors=2, quantum=4)
-        relaxed_cfg = replace(config, execution_mode=ExecutionMode.RELAXED)
-        machine, record, instrument = _run(relaxed_cfg, program, record_probes=True)
-        assert not machine.relaxed  # instrument forces the oracle
-        assert type(machine.sim) is Simulator
-        _, ref_record, ref_instrument = _run(config, program, record_probes=True)
-        assert record == ref_record
-        assert instrument.seq == ref_instrument.seq
+    def test_tardis_lease_expiry_exactly_at_read(self):
+        # lease=1: every granted lease is already expiring at the next
+        # logical tick, so reads keep landing exactly on the expiry
+        # boundary and must renew rather than hit.
+        config = SystemConfig(n_processors=4, tardis=True, lease=1)
+        program = by_name("producer_consumer", n_procs=4)
+        _assert_paths_identical(config, program)
+
+    def test_wc_write_buffer_and_tearoff_shapes(self):
+        # A store to the registered SC tear-off copy (the GETX shape, not
+        # the upgrade shape) and the WC buffered write path, both on a
+        # workload with real write sharing.
+        for fields in (
+            {"identify": IdentifyScheme.STATES, "sc_tearoff": True},
+            {"consistency": Consistency.WC, "identify": IdentifyScheme.VERSION,
+             "tearoff": True},
+        ):
+            config = SystemConfig(n_processors=4, cache_size=16384, **fields)
+            program = by_name("producer_consumer", n_procs=4)
+            _assert_paths_identical(config, program)

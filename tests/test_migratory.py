@@ -137,6 +137,6 @@ class TestComposition:
             builder.barrier(2)
         program = Program("cleanevict", [b.build() for b in builders])
         machine = Machine(config, program)
-        result = machine.run()
+        machine.run()
         entry = machine.directories[0].entries[addr >> 5]
         assert entry.owner is None  # the clean REPL cleared ownership

@@ -181,7 +181,7 @@ class TestUpgradeRaceEndToEnd:
 
         program = two_proc_program(build)
         machine = Machine(tiny_config(), program)
-        result = machine.run()
+        machine.run()
         # Exactly one exclusive holder at the end.
         block = seg_addr(0) >> 5
         holders = [

@@ -1,126 +1,67 @@
-"""The relaxed execution engine: observational equality and its seams.
+"""The bucketed event queue: firing order and run bounds.
 
-The relaxed engine (``ExecutionMode.RELAXED``) runs the reference event
-*structure* on cheaper substrates — the per-cycle bucketed event queue
-(:class:`repro.engine.simulator.BucketSimulator`) and the Message-free
-protocol lanes — and claims *observational* equality with the reference
-oracle: every measured :class:`~repro.stats.record.RunRecord` field
-except ``events_fired`` must match exactly.  The full 46-variant x
-5-workload proof runs via ``python -m repro.harness.equivalence
---observational`` (CI's check-protocol job); this module pins the
-deterministic edge cases and the mode seams:
-
-* bucketed-queue firing order is the flat heap's, event for event —
-  including same-cycle events scheduled *during* a sweep;
-* span-boundary arithmetic: a sync op landing exactly on a processor
-  batch edge, FIFO-overflow bursts in mid-batch, and a Tardis lease
-  expiring exactly at the read that would renew it;
-* the forcing seams: instrumentation, the invariant monitor and custom
-  network classes all force the reference oracle; Tardis keeps the
-  bucketed queue but stays off the lanes.
+:class:`repro.engine.simulator.Simulator` keys its queue by cycle — a
+heap of cycles, and per cycle a list in schedule order — and claims the
+firing order of a flat heap keyed by ``(time, schedule sequence)``.
+These cases pin that order with the expected sequences written out,
+including same-cycle events scheduled *during* a sweep, and check that
+the ``until``/``max_events`` bounds and the negative-time guards hold on
+the bucketed loop.  (The module name is historical: the bucketed queue
+first ran only under the relaxed engine, which is gone.)
 """
-
-from dataclasses import replace
 
 import pytest
 
-import repro.system as system_mod
-from repro.config import (
-    Consistency,
-    ExecutionMode,
-    IdentifyScheme,
-    SIMechanism,
-    SystemConfig,
-)
-from repro.engine.simulator import BucketSimulator, Simulator
+from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
-from repro.harness.equivalence import compare_observational, relaxed_config
-from repro.network.network import Network
-from repro.obs.instrument import Instrument
-from repro.stats.record import RunRecord
-from repro.system import Machine
-from repro.trace.builder import TraceBuilder
-from repro.trace.ops import Program
-from repro.workloads import by_name
-
-BLOCK = 32
-SEGMENT = 1 << 22
-
-
-def _addr(block, segment=0):
-    return segment * SEGMENT + block * BLOCK
-
-
-def _records(config, program):
-    """(relaxed record, reference record) for one program."""
-    relaxed = RunRecord.from_result(Machine(relaxed_config(config), program).run())
-    reference = RunRecord.from_result(Machine(config, program).run())
-    return relaxed, reference
-
-
-def _assert_observational(config, program):
-    relaxed, reference = _records(config, program)
-    diffs = compare_observational(relaxed, reference)
-    assert not diffs, f"relaxed diverged on: {', '.join(diffs)}"
-    return relaxed, reference
-
-
-# ---------------------------------------------------------------------------
-# Bucketed event queue: firing order is the flat heap's
-# ---------------------------------------------------------------------------
 
 
 class TestBucketSimulator:
-    def _both(self):
-        return Simulator(), BucketSimulator()
-
     def test_interleaved_delays_fire_in_heap_order(self):
-        logs = []
-        for sim in self._both():
-            log = []
-            for delay, tag in [(5, "a"), (0, "b"), (5, "c"), (2, "d"), (0, "e")]:
-                sim.schedule(delay, log.append, (delay, tag))
-            sim.run()
-            logs.append(log)
-        assert logs[0] == logs[1]
-        assert logs[0] == [(0, "b"), (0, "e"), (2, "d"), (5, "a"), (5, "c")]
+        sim = Simulator()
+        log = []
+        for delay, tag in [(5, "a"), (0, "b"), (5, "c"), (2, "d"), (0, "e")]:
+            sim.schedule(delay, log.append, (delay, tag))
+        sim.run()
+        assert log == [(0, "b"), (0, "e"), (2, "d"), (5, "a"), (5, "c")]
 
     def test_same_cycle_event_scheduled_mid_sweep_fires_in_sweep(self):
-        # An event scheduled with delay 0 *during* its own cycle's sweep
-        # must fire in that sweep, after everything already queued there
-        # — the flat heap's same-time-later-seq order.
-        for sim in self._both():
-            log = []
-            sim.schedule(3, lambda: (log.append("first"), sim.schedule(0, log.append, "chained")))
-            sim.schedule(3, log.append, "second")
-            sim.run()
-            assert log == ["first", "second", "chained"]
-            assert sim.now == 3
-            assert sim.events_fired == 3
+        # An event scheduled with delay 0 during its own cycle's sweep
+        # fires in that sweep, after everything already queued there.
+        sim = Simulator()
+        log = []
+        sim.schedule(3, lambda: (log.append("first"), sim.schedule(0, log.append, "chained")))
+        sim.schedule(3, log.append, "second")
+        sim.run()
+        assert log == ["first", "second", "chained"]
+        assert sim.now == 3
+        assert sim.events_fired == 3
 
     def test_at_and_step_match_flat_heap(self):
-        for sim in self._both():
-            log = []
-            sim.at(7, log.append, "late")
-            sim.at(2, log.append, "early")
-            assert sim.step()
-            assert log == ["early"] and sim.now == 2
-            assert sim.step()
-            assert log == ["early", "late"] and sim.now == 7
-            assert not sim.step()
+        sim = Simulator()
+        log = []
+        sim.at(7, log.append, "late")
+        sim.at(2, log.append, "early")
+        assert sim.step()
+        assert log == ["early"] and sim.now == 2
+        assert sim.step()
+        assert log == ["early", "late"] and sim.now == 7
+        assert not sim.step()
 
     def test_until_pauses_without_draining(self):
-        for sim in self._both():
-            log = []
-            sim.schedule(1, log.append, "x")
-            sim.schedule(10, log.append, "y")
-            sim.run(until=5)
-            assert log == ["x"] and sim.now == 5
-            sim.run()
-            assert log == ["x", "y"]
+        # ``until`` falls between two cycles: the clock stops there and
+        # the later cycle stays queued for the next run.
+        sim = Simulator()
+        log = []
+        sim.schedule(1, log.append, "x")
+        sim.schedule(10, log.append, "y")
+        sim.run(until=5)
+        assert log == ["x"] and sim.now == 5
+        sim.run()
+        assert log == ["x", "y"] and sim.now == 10
 
     def test_max_events_guard_still_trips(self):
-        sim = BucketSimulator(max_events=10)
+        sim = Simulator(max_events=10)
 
         def rearm():
             sim.schedule(1, rearm)
@@ -130,185 +71,8 @@ class TestBucketSimulator:
             sim.run()
 
     def test_negative_delay_rejected(self):
-        for sim in self._both():
-            with pytest.raises(SimulationError):
-                sim.schedule(-1, lambda: None)
-            with pytest.raises(SimulationError):
-                sim.at(-1, lambda: None)
-
-
-# ---------------------------------------------------------------------------
-# Mode seams: who runs relaxed, and how far
-# ---------------------------------------------------------------------------
-
-
-def _tiny_program():
-    return by_name("producer_consumer", n_procs=4)
-
-
-class TestModeSeams:
-    def test_relaxed_machine_uses_bucketed_queue_and_lanes(self):
-        machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-        )
-        assert machine.relaxed
-        assert isinstance(machine.sim, BucketSimulator)
-        assert all(c.relaxed for c in machine.controllers)
-
-    def test_reference_machine_keeps_flat_heap(self):
-        machine = Machine(SystemConfig(n_processors=4), _tiny_program())
-        assert not machine.relaxed
-        assert type(machine.sim) is Simulator
-        assert not any(c.relaxed for c in machine.controllers)
-
-    def test_instrument_forces_reference(self):
-        machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-            instrument=Instrument(),
-        )
-        assert not machine.relaxed
-        assert type(machine.sim) is Simulator
-
-    def test_invariant_monitor_forces_reference(self):
-        machine = Machine(
-            SystemConfig(
-                n_processors=4,
-                execution_mode=ExecutionMode.RELAXED,
-                check_invariants=True,
-            ),
-            _tiny_program(),
-        )
-        assert not machine.relaxed
-
-    def test_custom_network_forces_reference(self):
-        class MyNetwork(Network):
-            pass
-
-        machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-            network_cls=MyNetwork,
-        )
-        assert not machine.relaxed
-
-    def test_tardis_keeps_queue_but_not_lanes(self):
-        machine = Machine(
-            SystemConfig(
-                n_processors=4, tardis=True, execution_mode=ExecutionMode.RELAXED
-            ),
-            _tiny_program(),
-        )
-        assert machine.relaxed
-        assert isinstance(machine.sim, BucketSimulator)
-        assert not any(c.relaxed for c in machine.controllers)
-
-    def test_layer_narrowing_disables_lanes(self, monkeypatch):
-        # The equivalence harness localizes mismatches by narrowing the
-        # layer set; queue-only machines must not bind the lanes.
-        monkeypatch.setattr(system_mod, "RELAXED_LAYERS", frozenset({"queue"}))
-        machine = Machine(
-            SystemConfig(n_processors=4, execution_mode=ExecutionMode.RELAXED),
-            _tiny_program(),
-        )
-        assert isinstance(machine.sim, BucketSimulator)
-        assert not any(c.relaxed for c in machine.controllers)
-
-
-# ---------------------------------------------------------------------------
-# Span-boundary regressions (deterministic, hand-sized)
-# ---------------------------------------------------------------------------
-
-
-class TestBatchBoundaries:
-    def test_sync_exactly_on_batch_edge(self):
-        # Two processors ping through a barrier placed so the preceding
-        # hit run's cost lands exactly on the processor quantum: with
-        # hit_cycles=1 and quantum=N, N hits complete *at* the batch
-        # edge and the sync op is the first op of the next span.  Sweep
-        # the quantum across the run length so every alignment of the
-        # barrier relative to the edge occurs, including exact ones.
-        for quantum in (4, 5, 6, 8):
-            builders = [TraceBuilder(), TraceBuilder()]
-            for node, builder in enumerate(builders):
-                mine = _addr(2 + node, segment=node)
-                builder.write(mine)
-                for _ in range(quantum):  # hits filling exactly one span
-                    builder.read(mine)
-                builder.barrier(0)
-                theirs = _addr(2 + (1 - node), segment=1 - node)
-                builder.read(theirs)
-                builder.barrier(1)
-            program = Program("sync-edge", [b.build() for b in builders])
-            config = SystemConfig(n_processors=2, quantum=quantum)
-            relaxed, _ = _assert_observational(config, program)
-            assert relaxed.misses.read_misses >= 2  # the cross reads missed
-
-    def test_fifo_overflow_burst_mid_batch(self):
-        # A DSI-FIFO config with a tiny FIFO: every fill of a marked
-        # block pushes an entry and the burst overflows the FIFO in the
-        # middle of a hit span.  The overflow invalidation changes which
-        # later accesses hit — any relaxed-engine drift in when the
-        # burst lands shows up as a miss-mix difference.
-        config = SystemConfig(
-            n_processors=4,
-            identify=IdentifyScheme.VERSION,
-            si_mechanism=SIMechanism.FIFO,
-            fifo_entries=2,
-            cache_size=16384,
-        )
-        program = by_name("sparse", n_procs=4, x_words=512, iterations=3,
-                          a_words_per_proc=128)
-        relaxed, _ = _assert_observational(config, program)
-        assert relaxed.misses.fifo_overflows > 0  # the burst actually burst
-
-    def test_tardis_lease_expiry_exactly_at_read(self):
-        # lease=1: every granted lease is already expiring at the next
-        # logical tick, so reads keep landing exactly on the expiry
-        # boundary and must renew rather than hit.  Tardis runs the
-        # bucketed queue without lanes — the boundary being probed is
-        # the queue's, at the lease-check cycle.
-        config = SystemConfig(n_processors=4, tardis=True, lease=1)
-        program = by_name("producer_consumer", n_procs=4)
-        _assert_observational(config, program)
-
-    def test_wc_write_buffer_and_tearoff_shapes(self):
-        # The lane write path's pre-action row choice (a store to the
-        # registered SC tear-off copy must take the GETX shape, not the
-        # upgrade shape) and the WC buffered path both replayed against
-        # the oracle on a workload with real write sharing.
-        for fields in (
-            {"identify": IdentifyScheme.STATES, "sc_tearoff": True},
-            {"consistency": Consistency.WC, "identify": IdentifyScheme.VERSION,
-             "tearoff": True},
-        ):
-            config = SystemConfig(n_processors=4, cache_size=16384, **fields)
-            program = by_name("producer_consumer", n_procs=4)
-            _assert_observational(config, program)
-
-
-# ---------------------------------------------------------------------------
-# Record comparison semantics
-# ---------------------------------------------------------------------------
-
-
-def test_compare_observational_ignores_only_events_fired():
-    config = SystemConfig(n_processors=4)
-    program = _tiny_program()
-    relaxed, reference = _records(config, program)
-    # Same engine twice -> nothing differs.
-    assert not compare_observational(reference, reference)
-    # The relaxed run must agree on everything measured...
-    assert not compare_observational(relaxed, reference)
-    # ...and a doctored exec_time must be caught.
-    doctored = RunRecord.from_dict(reference.to_dict())
-    doctored.exec_time += 1
-    assert "exec_time" in compare_observational(relaxed, doctored)
-
-
-def test_relaxed_config_round_trip():
-    config = SystemConfig(n_processors=4)
-    relaxed = relaxed_config(config)
-    assert relaxed.execution_mode is ExecutionMode.RELAXED
-    assert replace(relaxed, execution_mode=ExecutionMode.REFERENCE) == config
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(-1, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.at(-1, lambda: None)

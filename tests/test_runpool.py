@@ -120,37 +120,32 @@ class TestResultCache:
         assert len(code_fingerprint()) == 64
         int(code_fingerprint(), 16)
 
-    def test_fingerprint_folds_in_execution_mode(self, monkeypatch):
+    def test_engine_env_vars_change_nothing(self, monkeypatch):
+        # A SystemConfig is a pure value: the retired engine selectors
+        # neither reach the config nor fork the result cache.
         from repro.harness import runpool
 
-        monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("DSI_MODE", raising=False)
-        fast = code_fingerprint()
-        monkeypatch.setenv("DSI_NO_FASTPATH", "1")
-        reference = code_fingerprint()
-        assert fast != reference
-        assert fast == runpool._FINGERPRINTS[("fast", "default")]
-        assert reference == runpool._FINGERPRINTS[("reference", "default")]
-
-    def test_fingerprint_folds_in_engine_mode(self, monkeypatch):
-        # DSI_MODE selects the transaction-retirement engine after spec
-        # construction, so each engine must cache separately.
-        monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("DSI_MODE", raising=False)
-        default = code_fingerprint()
-        monkeypatch.setenv("DSI_MODE", "relaxed")
-        relaxed = code_fingerprint()
-        monkeypatch.setenv("DSI_MODE", "reference")
-        reference = code_fingerprint()
-        assert len({default, relaxed, reference}) == 3
+        runpool._FINGERPRINTS.clear()
+        try:
+            monkeypatch.delenv("DSI_MODE", raising=False)
+            monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
+            plain = SystemConfig()
+            base = code_fingerprint()
+            runpool._FINGERPRINTS.clear()
+            monkeypatch.setenv("DSI_MODE", "relaxed")
+            monkeypatch.setenv("DSI_NO_FASTPATH", "1")
+            config = SystemConfig()
+            assert config == plain
+            assert config.compiled_dispatch and config.direct_execution
+            assert code_fingerprint() == base
+        finally:
+            runpool._FINGERPRINTS.clear()
 
     def test_fingerprint_ignores_telemetry_env(self, monkeypatch):
-        # Unlike the execution-mode knobs above, observability settings
-        # never change simulation results — they must not bust the cache.
+        # Observability settings never change simulation results — they
+        # must not bust the cache.
         from repro.harness import runpool
 
-        monkeypatch.delenv("DSI_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("DSI_MODE", raising=False)
         monkeypatch.delenv("DSI_LOG", raising=False)
         monkeypatch.delenv("DSI_PROFILE", raising=False)
         base = code_fingerprint()

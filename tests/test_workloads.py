@@ -111,7 +111,6 @@ class TestWorkloadProperties:
 
     def test_sparse_every_proc_sweeps_whole_vector(self):
         program = sparse(**QUICK["sparse"])
-        x_words = program.meta["x_words"]
         # Every processor reads blocks of every chunk.
         for proc, trace in enumerate(program.traces):
             read_segments = {
