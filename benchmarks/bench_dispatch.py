@@ -9,8 +9,8 @@ One workload, one protocol, three execution modes of the same machine:
     Layer 1 only: transition tables lowered to integer-indexed dispatch
     (:mod:`repro.coherence.compile`), accesses still interpreted.
 ``fastpath``
-    Layers 1+2: compiled dispatch plus the direct-execution batcher
-    (:mod:`repro.processor.fastpath`) retiring hit runs outside the
+    Layers 1+2: compiled dispatch plus direct execution
+    (:mod:`repro.processor.fastpath`) retiring cache hits outside the
     engine.
 
 All three produce bit-identical :class:`~repro.stats.record.RunRecord`

@@ -127,7 +127,7 @@ class SystemConfig:
     # as the reference side of the equivalence harness
     # (``dsi-sim run --no-fastpath`` turns both off).
     compiled_dispatch: bool = True  # table lowered to integer-indexed dispatch
-    direct_execution: bool = True  # batch private/valid hits outside the engine
+    direct_execution: bool = True  # retire cache hits outside the engine
     # The one execution engine; a class constant, not a field, so no spec,
     # flag or ``replace()`` can set it.
     execution_mode: ClassVar[ExecutionMode] = ExecutionMode.REFERENCE

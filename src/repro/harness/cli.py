@@ -183,7 +183,7 @@ def build_parser():
         "--no-fastpath",
         action="store_true",
         help="run: interpreted execution paths only — disable the compiled "
-        "transition dispatch and the direct-execution batcher (results are "
+        "transition dispatch and the direct execution of hits (results are "
         "bit-identical either way; this is the debugging escape hatch)",
     )
     parser.add_argument(

@@ -1,8 +1,8 @@
 """Interpreted-vs-compiled equivalence proofs.
 
 The compiled execution paths (:mod:`repro.coherence.compile` table
-dispatch and the :mod:`repro.processor.fastpath` direct-execution
-batcher) claim to be *invisible*: a run with both enabled must produce a
+dispatch and the :mod:`repro.processor.fastpath` direct execution of
+cache hits) claim to be *invisible*: a run with both enabled must produce a
 :class:`~repro.stats.record.RunRecord` equal — field for field, event
 count included, telemetry excluded — to the interpreted run.  This
 module is that claim as an executable proof: it sweeps every structural
@@ -114,7 +114,7 @@ def localize_layer(workload, config, wl_args):
 
     Re-runs with only compiled dispatch enabled: if that run already
     diverges from the interpreted reference the table compiler (layer 1)
-    is at fault, otherwise the direct-execution batcher (layer 2)."""
+    is at fault, otherwise direct execution (layer 2)."""
     dispatch_only = replace(config, compiled_dispatch=True, direct_execution=False)
     equal, _diffs = check_pair(workload, dispatch_only, wl_args)
     return "fastpath (direct execution)" if equal else "compiled dispatch"

@@ -13,9 +13,14 @@ Beyond a textbook cache this model carries the paper's hardware additions:
 
 State is per-frame: INVALID, SHARED or EXCLUSIVE (the paper's "exclusive"
 is writable-and-possibly-dirty, i.e. an M state).
-"""
 
-import numpy as np
+Besides its frames the cache keeps :attr:`Cache.valid_map`, a
+``block -> frame`` dict of its valid copies maintained by :meth:`Cache.fill`
+and :meth:`Cache.invalidate`, so a lookup is one dict probe.  The frames
+stay the state of record: :meth:`Cache.snapshot` and
+:meth:`Cache.valid_blocks` walk them, which gives the coherence audit and
+the tests a view of the cache independent of the map.
+"""
 
 from repro.errors import SimulationError
 
@@ -47,14 +52,10 @@ class CacheFrame:
         "pinned",
         "wts",
         "rts",
-        "set_idx",
-        "way",
     )
 
     def __init__(self):
         self.tag = -1
-        self.set_idx = 0  # geometry slot; assigned by Cache
-        self.way = 0
         self.valid = False
         self.state = INVALID
         self.dirty = False
@@ -103,9 +104,10 @@ class LazySets:
     untouched set is indistinguishable from an all-invalid one: indexing
     materializes it on demand, while iteration (tests, the coherence
     audit) visits only materialized sets in index order — untouched sets
-    hold no valid frames, so nothing is missed.  The fast path
-    (:mod:`repro.processor.fastpath`) reads the backing ``_sets`` dict
-    directly and treats absence as all-invalid without materializing.
+    hold no valid frames, so nothing is missed.  Hits never index the sets
+    (they go through :attr:`Cache.valid_map`); the tag-history probes read
+    the backing ``_sets`` dict and treat absence as all-invalid without
+    materializing.
     """
 
     __slots__ = ("_sets", "_n_sets", "_assoc")
@@ -121,11 +123,7 @@ class LazySets:
     def __getitem__(self, set_idx):
         frames = self._sets.get(set_idx)
         if frames is None:
-            frames = [CacheFrame() for _ in range(self._assoc)]
-            for way, frame in enumerate(frames):
-                frame.set_idx = set_idx
-                frame.way = way
-            self._sets[set_idx] = frames
+            frames = self._sets[set_idx] = [CacheFrame() for _ in range(self._assoc)]
         return frames
 
     def __iter__(self):
@@ -141,20 +139,12 @@ class Cache:
         self.n_sets = config.n_sets
         self.assoc = config.cache_assoc
         self.sets = LazySets(self.n_sets, self.assoc)
-        self._sets_map = self.sets._sets  # direct dict view for hot lookups
+        self._sets_map = self.sets._sets  # direct dict view for tag probes
         self._clock = 0
-        # Direct-execution snapshot (repro.processor.fastpath): per-slot tag
-        # matrices the batcher classifies whole op windows against with one
-        # vectorized compare.  ``tag_read[s, w]`` holds the frame's tag when
-        # a load of it is a plain hit (valid, no s bit, no tear-off — marked
-        # blocks always take the scalar path), ``tag_write`` additionally
-        # requires EXCLUSIVE; -1 = not a fast hit.  ``set_gens[s]`` bumps on
-        # every eligibility change in set ``s``: a window entry whose set
-        # generation is unchanged since classification is still exact, so
-        # the batcher skips per-op re-verification for it.
-        self.tag_read = np.full((self.n_sets, self.assoc), -1, dtype=np.int64)
-        self.tag_write = np.full((self.n_sets, self.assoc), -1, dtype=np.int64)
-        self.set_gens = [0] * self.n_sets
+        # block -> frame for every valid copy.  Well defined because a tag
+        # lives in at most one frame of its set: ``fill`` reuses the frame
+        # that already holds it.
+        self.valid_map = {}
         # Frames currently holding s-marked valid blocks — the hardware
         # linked list of §4.2, modelled as an insertion-ordered dict (a
         # plain set would iterate in id() order, making runs
@@ -170,19 +160,14 @@ class Cache:
     def lookup(self, block, touch=True):
         """Return the valid frame holding ``block``, or None on a miss.
 
-        Reads through the lazy-set dict without materializing: an
-        untouched set holds no valid frames, so a missing entry is a miss.
+        One probe of :attr:`valid_map`; ``touch`` makes the frame the most
+        recently used of its set.
         """
-        frames = self._sets_map.get(block % self.n_sets)
-        if frames is None:
-            return None
-        for frame in frames:
-            if frame.tag == block and frame.valid:
-                if touch:
-                    self._clock += 1
-                    frame.lru = self._clock
-                return frame
-        return None
+        frame = self.valid_map.get(block)
+        if frame is not None and touch:
+            self._clock += 1
+            frame.lru = self._clock
+        return frame
 
     def stored_version(self, block):
         """Version retained with a matching tag (valid or not), else None."""
@@ -244,8 +229,9 @@ class Cache:
             if target.tag == block:
                 raise SimulationError(f"fill of block {block} already valid in cache {self.node}")
             victim = Victim(target)
-        if victim is not None or target.valid:
+        if target.valid:
             self._drop_si(target)
+            del self.valid_map[target.tag]
         target.tag = block
         target.valid = True
         target.state = state
@@ -258,7 +244,7 @@ class Cache:
         target.lru = self._clock
         if s_bit:
             self.si_frames[target] = None
-        self._sync_fast(target)
+        self.valid_map[block] = target
         return target, victim
 
     def invalidate(self, frame, keep_version=True):
@@ -268,6 +254,8 @@ class Cache:
         in the frame so a later miss can present the stale version.
         """
         self._drop_si(frame)
+        if frame.valid:
+            del self.valid_map[frame.tag]
         frame.valid = False
         frame.state = INVALID
         frame.dirty = False
@@ -276,14 +264,12 @@ class Cache:
         # (an upgrade MSHR keeps its frame reserved across an invalidation).
         if not keep_version:
             frame.version = None
-        self._sync_fast(frame)
 
     def mark_si(self, frame, marked=True):
         """Set/clear the s bit, maintaining the selective-flush list."""
         if marked and frame.valid:
             frame.s_bit = True
             self.si_frames[frame] = None
-            self._sync_fast(frame)
         else:
             self._drop_si(frame)
 
@@ -291,24 +277,6 @@ class Cache:
         if frame.s_bit:
             frame.s_bit = False
             self.si_frames.pop(frame, None)
-            self._sync_fast(frame)
-
-    # ------------------------------------------------------------------
-    # Direct-execution snapshot maintenance
-    # ------------------------------------------------------------------
-    def _sync_fast(self, frame):
-        readable = frame.valid and not frame.s_bit and not frame.tearoff
-        set_idx, way = frame.set_idx, frame.way
-        self.tag_read[set_idx, way] = frame.tag if readable else -1
-        self.tag_write[set_idx, way] = (
-            frame.tag if readable and frame.state == EXCLUSIVE else -1
-        )
-        self.set_gens[set_idx] += 1
-
-    def note_frame_changed(self, frame):
-        """Re-derive the fast-path snapshot after an out-of-cache state
-        change (the controller's in-place upgrade promotion)."""
-        self._sync_fast(frame)
 
     # ------------------------------------------------------------------
     # Introspection

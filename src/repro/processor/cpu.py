@@ -16,11 +16,19 @@ responding (``inval_wait``), which becomes read/write *invalidation* time;
 the rest of a miss is read/write *other*; synchronization operations
 accumulate ``synch_wb`` (write-buffer drain), ``dsi`` (self-invalidation
 flush) and ``sync`` (lock/barrier waiting, including lock-word transfer).
+
+The processor reads its trace through a window of plain Python lists
+(gaps, kinds, block numbers) decoded from the numpy arrays once per
+:data:`WINDOW` ops; the interpreted loop and the direct-execution fast
+path (:mod:`repro.processor.fastpath`) both index it.
 """
 
 from repro.processor.fastpath import FastPath
 from repro.stats.breakdown import Breakdown
 from repro.trace.ops import OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE
+
+#: ops decoded per window
+WINDOW = 4096
 
 
 class StampSource:
@@ -54,6 +62,8 @@ class Processor:
         self.quantum = max(1, config.quantum)
         self.breakdown = Breakdown()
         self.idx = 0
+        # (start, end, gaps, kinds, blocks): ops [start, end) as lists.
+        self._window = (0, 0, (), (), ())
         self._gap_charged = False
         self._stall_start = 0
         self.finished = False
@@ -61,7 +71,7 @@ class Processor:
         # WWT-style direct execution (repro.processor.fastpath): off under
         # Tardis (hits mutate lease state) and under the invariant monitor
         # (it must observe every access).  Instrumented runs keep it — the
-        # interpreted hit path fires no probes, so neither does the batcher.
+        # interpreted hit path fires no probes, so neither does the fast path.
         if config.direct_execution and not config.tardis and not config.check_invariants:
             self._fast = FastPath(self)
         else:
@@ -73,43 +83,55 @@ class Processor:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _decode(self, idx):
+        """Decode ops ``[idx, idx + WINDOW)`` into the list window.
+
+        Block numbers are ``addr >> block_shift``; a sync op's operand (a
+        lock address or barrier id) is read from the trace itself."""
+        trace = self.trace
+        end = min(len(trace), idx + WINDOW)
+        self._window = window = (
+            idx,
+            end,
+            trace.gaps[idx:end].tolist(),
+            trace.kinds[idx:end].tolist(),
+            (trace.addrs[idx:end] >> self.block_shift).tolist(),
+        )
+        return window
+
     def _run(self):
         sim = self.sim
         ctrl = self.controller
         breakdown = self.breakdown
-        trace = self.trace
-        gaps, kinds, addrs = trace.gaps, trace.kinds, trace.addrs
-        n_ops = len(kinds)
         quantum = self.quantum
         hit_cycles = self.hit_cycles
-        shift = self.block_shift
         fast = self._fast
+        ws, we, gaps, kinds, blocks = self._window
         idx = self.idx
         elapsed = 0
         while True:
-            if idx >= n_ops:
-                self.idx = idx
-                if elapsed:
-                    sim.schedule(elapsed, self._run)
-                else:
-                    self._finish()
-                return
+            if idx >= we:
+                if idx >= len(self.trace):
+                    self.idx = idx
+                    if elapsed:
+                        sim.schedule(elapsed, self._run)
+                    else:
+                        self._finish()
+                    return
+                ws, we, gaps, kinds, blocks = self._decode(idx)
             if fast is not None:
-                # Direct execution: retire the eligible hit run vectorized.
-                # None = quantum boundary scheduled (state saved); otherwise
-                # fall through to the interpreted loop for the first op that
-                # misses, touches DSI state, or is a sync op.
+                # Direct execution: retire the hits from idx on.  None =
+                # quantum boundary scheduled (state saved); otherwise op
+                # idx is the first that is not a hit (or the window ended).
                 result = fast.advance(idx, elapsed)
                 if result is None:
                     return
-                next_idx, next_elapsed = result
-                if next_idx != idx:
-                    idx = next_idx
-                    elapsed = next_elapsed
-                    self._gap_charged = False
+                idx, elapsed = result
+                if idx >= we:
                     continue
+            p = idx - ws
             if not self._gap_charged:
-                gap = int(gaps[idx])
+                gap = gaps[p]
                 if gap:
                     breakdown.compute += gap
                     elapsed += gap
@@ -118,9 +140,9 @@ class Processor:
                     self.idx = idx
                     sim.schedule(elapsed, self._run)
                     return
-            kind = kinds[idx]
+            kind = kinds[p]
             if kind == OP_READ:
-                block = int(addrs[idx]) >> shift
+                block = blocks[p]
                 if ctrl.try_read(block):
                     breakdown.compute += hit_cycles
                     elapsed += hit_cycles
@@ -139,7 +161,7 @@ class Processor:
                 ctrl.read(block, self._read_done)
                 return
             if kind == OP_WRITE:
-                block = int(addrs[idx]) >> shift
+                block = blocks[p]
                 if ctrl.try_write(block, self.stamps.next()):
                     breakdown.compute += hit_cycles
                     elapsed += hit_cycles
@@ -169,7 +191,7 @@ class Processor:
             if elapsed:
                 sim.schedule(elapsed, self._run)
                 return
-            self._do_sync(int(kind), int(addrs[idx]))
+            self._do_sync(kind, int(self.trace.addrs[idx]))
             return
 
     # ------------------------------------------------------------------

@@ -872,7 +872,6 @@ class CacheController:
         frame = ctx.frame = ctx.mshr.frame
         frame.state = EXCLUSIVE
         frame.version = ctx.msg.version
-        self.cache.note_frame_changed(frame)
         if self.monitor:
             self.monitor.on_fill(self.node, ctx.block, EXCLUSIVE, frame.data, False)
 

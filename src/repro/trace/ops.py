@@ -38,6 +38,11 @@ class Trace:
 
     def __init__(self, gaps, kinds, addrs):
         self.gaps = np.asarray(gaps, dtype=np.int64)
+        kinds = np.asarray(kinds)
+        # Checked before the uint8 cast, which would wrap 256 to OP_READ.
+        unknown = kinds[(kinds < OP_READ) | (kinds > OP_BARRIER)]
+        if unknown.size:
+            raise TraceError(f"unknown op kinds {sorted(set(unknown.tolist()))}")
         self.kinds = np.asarray(kinds, dtype=np.uint8)
         self.addrs = np.asarray(addrs, dtype=np.int64)
         if not (len(self.gaps) == len(self.kinds) == len(self.addrs)):
@@ -90,21 +95,23 @@ class Program:
             )
         for proc, trace in enumerate(self.traces):
             held = {}
-            for kind, addr in zip(trace.kinds, trace.addrs):
+            kinds = trace.kinds
+            sync = np.flatnonzero((kinds == OP_LOCK) | (kinds == OP_UNLOCK))
+            for kind, addr in zip(kinds[sync].tolist(), trace.addrs[sync].tolist()):
                 if kind == OP_LOCK:
-                    if held.get(int(addr)):
+                    if held.get(addr):
                         raise TraceError(
                             f"program {self.name!r} proc {proc}: lock {addr:#x} "
                             "acquired twice without release"
                         )
-                    held[int(addr)] = True
+                    held[addr] = True
                 elif kind == OP_UNLOCK:
-                    if not held.get(int(addr)):
+                    if not held.get(addr):
                         raise TraceError(
                             f"program {self.name!r} proc {proc}: unlock of "
                             f"{addr:#x} not held"
                         )
-                    held[int(addr)] = False
+                    held[addr] = False
             if any(held.values()):
                 raise TraceError(
                     f"program {self.name!r} proc {proc}: locks still held at end"

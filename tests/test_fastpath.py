@@ -1,20 +1,23 @@
 """Direct-execution fast-path boundary behaviour.
 
-The batcher (:mod:`repro.processor.fastpath`) must hand control back to
+The fast path (:mod:`repro.processor.fastpath`) retires every op the
+interpreted loop's ``try_read`` / ``try_write`` would take on their
+first branch — any valid frame for a load, an EXCLUSIVE one for a store,
+DSI-marked and tear-off copies included — and must hand control back to
 the interpreted loop at exactly the right ops: the first miss, the first
-touch of a DSI-marked or tear-off block, the first write-buffer
-interaction, and every synchronization operation.  These tests pin that
-boundary three ways:
+store to a non-exclusive copy (including write-buffer interactions), and
+every synchronization operation.  These tests pin that boundary three
+ways:
 
 * **Probe-sequence equality** — a recording instrument captures every
   timestamped probe (transitions, messages, fills, self-invalidations,
-  write-buffer and sync events) from a batched run and an interpreted
+  write-buffer and sync events) from a fast run and an interpreted
   run of the same deterministic trace; the sequences must be identical.
-  Since the interpreted hit path fires no probes, any op the batcher
+  Since the interpreted hit path fires no probes, any op the fast path
   wrongly retires (or wrongly hands off at a different cycle) shows up
   as a sequence difference.
 * **Counter arithmetic** — on traces simple enough to reason about
-  exactly, the batcher's ``retired_ops`` / ``handoffs`` / ``boundaries``
+  exactly, the fast path's ``retired_ops`` / ``handoffs`` / ``boundaries``
   counters are asserted against hand-computed values.
 * **Record equality at the edges** — sync ops exactly on a batch edge,
   FIFO-overflow bursts, Tardis ``lease=1`` expiry and the tear-off
@@ -22,13 +25,16 @@ boundary three ways:
   interpreted records must match, ``events_fired`` included.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.config import Consistency, IdentifyScheme, SIMechanism, SystemConfig
+from repro.memory.cache import EXCLUSIVE
 from repro.network.message import Message
 from repro.obs.instrument import Instrument
+from repro.protocol.controller import CacheController
 from repro.stats.record import RunRecord
 from repro.system import Machine
 from repro.trace.builder import TraceBuilder
@@ -136,7 +142,6 @@ class TestExactBoundaries:
         config = SystemConfig(n_processors=1, quantum=1000)
         machine, record, _ = _run(config, program)
         fast = _fastpaths(machine)[0]
-        assert fast is not None  # never bailed out
         assert fast.retired_ops == 100
         assert fast.handoffs == 1  # exactly the cold miss
         assert fast.boundaries == 0  # quantum never reached
@@ -146,7 +151,7 @@ class TestExactBoundaries:
         assert record == ref_record
 
     def test_hit_boundary_reenters_event_queue(self):
-        # 100 reads x 1 cycle against quantum=10: the batcher must stop at
+        # 100 reads x 1 cycle against quantum=10: the fast path must stop at
         # every quantum boundary exactly as the interpreted loop does.
         builder = TraceBuilder().write(_addr(5))
         for _ in range(100):
@@ -179,15 +184,15 @@ class TestExactBoundaries:
 
     def test_miss_dominated_stream_bails_out(self):
         # Reads of 6000 distinct blocks: nothing ever re-hits (capacity
-        # misses), so after the first window the batcher must unplug
-        # itself — and the record must not change.
+        # misses), so every op hands off to the interpreted loop, across
+        # a window boundary — and the record must not change.
         builder = TraceBuilder()
         for i in range(6000):
             builder.read(_addr(1000 + 7 * i))
         program = Program("colds", [builder.build()])
         config = SystemConfig(n_processors=1)
         machine, record, _ = _run(config, program)
-        assert _fastpaths(machine)[0] is None  # bailed out mid-run
+        assert _fastpaths(machine)[0].retired_ops == 0
         _, ref_record, _ = _run(_reference(config), program)
         assert record == ref_record
 
@@ -279,7 +284,7 @@ class TestBoundarySoup:
     def test_probe_sequences_identical(self, runs):
         (_, _, fast_inst), (_, _, ref_inst) = runs
         assert fast_inst.seq, "no probes recorded"
-        # Timestamped probe-for-probe equality: the batcher handed off at
+        # Timestamped probe-for-probe equality: the fast path handed off at
         # exactly the ops — and cycles — the interpreted loop blocked at.
         assert fast_inst.seq == ref_inst.seq
 
@@ -287,6 +292,66 @@ class TestBoundarySoup:
         (_, fast_record, _), (_, ref_record, _) = runs
         assert fast_record == ref_record
         assert fast_record.events_fired == ref_record.events_fired
+
+
+# ---------------------------------------------------------------------------
+# DSI-marked and tear-off copies are plain hits
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def frame_hits(monkeypatch):
+    """Count the frame hits that reach the interpreted ``try_read`` /
+    ``try_write``, by the copy they hit: marked, tear-off or plain."""
+    hits = Counter()
+    try_read, try_write = CacheController.try_read, CacheController.try_write
+
+    def kind(frame):
+        return "tearoff" if frame.tearoff else "marked" if frame.s_bit else "plain"
+
+    def counting_read(self, block):
+        frame = self.cache.lookup(block, touch=False)
+        if try_read(self, block):
+            hits[kind(frame)] += 1
+            return True
+        return False
+
+    def counting_write(self, block, stamp):
+        frame = self.cache.lookup(block, touch=False)
+        exclusive = frame is not None and frame.state == EXCLUSIVE
+        if try_write(self, block, stamp):
+            if exclusive:  # not a write-buffer merge
+                hits[kind(frame)] += 1
+            return True
+        return False
+
+    monkeypatch.setattr(CacheController, "try_read", counting_read)
+    monkeypatch.setattr(CacheController, "try_write", counting_write)
+    return hits
+
+
+class TestMarkedHitsRetireDirectly:
+    @pytest.mark.parametrize("copy, fields", [
+        ("marked", {"identify": IdentifyScheme.VERSION}),
+        ("tearoff", {"consistency": Consistency.WC,
+                     "identify": IdentifyScheme.VERSION, "tearoff": True}),
+    ], ids=["SC+V", "WC+V+TO"])
+    def test_marked_and_tearoff_hits_retire_directly(self, frame_hits, copy, fields):
+        # Sparse under V re-reads the shared vector through s-marked
+        # (SC) or tear-off (WC) copies between barriers.
+        config = SystemConfig(n_processors=4, cache_size=16384, **fields)
+        program = by_name("sparse", n_procs=4, x_words=512, iterations=3,
+                          a_words_per_proc=128)
+        machine, record, inst = _run(config, program, record_probes=True)
+        fast_hits = dict(frame_hits)
+        frame_hits.clear()
+        _, ref_record, ref_inst = _run(_reference(config), program, record_probes=True)
+        assert frame_hits[copy] > 0  # the interpreter hit such copies...
+        assert fast_hits == {}  # ...the fast path left none of them to it
+        assert sum(f.retired_ops for f in _fastpaths(machine)) == sum(frame_hits.values())
+        assert record == ref_record
+        assert record.events_fired == ref_record.events_fired
+        assert inst.seq == ref_inst.seq
 
 
 # ---------------------------------------------------------------------------

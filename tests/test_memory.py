@@ -252,7 +252,10 @@ class TestCacheIntrospection:
 def cache_ops(draw):
     ops = draw(
         st.lists(
-            st.tuples(st.sampled_from(["fill", "touch", "inval"]), st.integers(0, 30)),
+            st.tuples(
+                st.sampled_from(["fill", "touch", "inval", "mark", "refill"]),
+                st.integers(0, 30),
+            ),
             max_size=60,
         )
     )
@@ -290,7 +293,7 @@ class TestCacheModelProperty:
                 if block in bucket:
                     bucket.remove(block)
                     bucket.append(block)
-            else:  # inval
+            elif op == "inval":
                 frame = cache.lookup(block, touch=False)
                 if block in bucket:
                     assert frame is not None
@@ -298,6 +301,21 @@ class TestCacheModelProperty:
                     bucket.remove(block)
                 else:
                     assert frame is None
+            elif op == "mark":  # toggle the s bit; validity is unchanged
+                frame = cache.lookup(block, touch=False)
+                if frame is not None:
+                    cache.mark_si(frame, marked=not frame.s_bit)
+            else:  # refill: invalidate, then fill into the frame keeping the tag
+                frame = cache.lookup(block, touch=False)
+                if frame is not None:
+                    cache.invalidate(frame)
+                    refilled, victim = cache.fill(block, SHARED, data=1)
+                    assert refilled is frame and victim is None
+                    bucket.remove(block)
+                    bucket.append(block)
+            assert cache.valid_map == {
+                f.tag: f for s in cache.sets for f in s if f.valid
+            }
         valid = set(cache.valid_blocks())
         expected = {b for bucket in reference.values() for b in bucket}
         assert valid == expected

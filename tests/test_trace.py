@@ -1,5 +1,7 @@
 """Trace encoding, builder, validation and IO."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,26 @@ class TestTrace:
     def test_negative_gap_rejected(self):
         with pytest.raises(TraceError):
             Trace([-1], [OP_READ], [0])
+
+    def test_unknown_op_kind_rejected(self, tmp_path):
+        # Unchecked, kind 9 would run as a barrier and the uint8 cast
+        # would wrap int64 256 to OP_READ.
+        with pytest.raises(TraceError, match=r"unknown op kinds \[9\]"):
+            Trace([0, 0], [OP_READ, 9], [0, 0])
+        with pytest.raises(TraceError, match=r"unknown op kinds \[256\]"):
+            Trace([0], np.array([256], dtype=np.int64), [0])
+        # A saved program is checked on load too.
+        path = tmp_path / "bad.npz"
+        header = {"name": "bad", "n_procs": 1, "home": "segment", "meta": {}}
+        np.savez(
+            path,
+            gaps_0=np.zeros(1, dtype=np.int64),
+            kinds_0=np.array([9], dtype=np.uint8),
+            addrs_0=np.zeros(1, dtype=np.int64),
+            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        )
+        with pytest.raises(TraceError, match="unknown op kinds"):
+            load_program(path)
 
     def test_counts_and_totals(self):
         trace = TraceBuilder().compute(10).read(0).compute(5).barrier(0).build()
