@@ -5,6 +5,8 @@ spotting performance regressions in the kernel rather than for paper
 reproduction.
 """
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
@@ -12,8 +14,9 @@ from repro.memory.cache import Cache, SHARED
 from repro.network.message import Message, MsgKind
 from repro.network.network import Network
 from repro.system import Machine
+from repro.harness.configs import workload_args
 from repro.trace.builder import TraceBuilder
-from repro.workloads import em3d
+from repro.workloads import CATALOG, em3d
 
 KB = 1024
 
@@ -107,6 +110,15 @@ def test_trace_generation_rate(benchmark):
 
     trace = benchmark(build)
     assert len(trace) == 20_000
+
+
+@pytest.mark.parametrize("workload", sorted(CATALOG))
+def test_workload_generation_rate(benchmark, workload):
+    """One paper program at quick scale and 32 processors: the generation
+    cost that perfbench's ``setup_s`` includes."""
+    generator, _description = CATALOG[workload]
+    program = benchmark(generator, **workload_args(workload, quick=True, n_procs=32))
+    assert program.n_procs == 32
 
 
 def test_end_to_end_simulation_rate(benchmark):

@@ -29,6 +29,9 @@ with it some of DSI's accuracy), reproducing the paper's smaller gains at
 256 KB than at 2 MB.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_READ, OP_WRITE
 from repro.workloads.base import WORD, WorkloadContext, spread_indices
 
 
@@ -57,10 +60,6 @@ def em3d(
     edge_base = [ctx.alloc_words(p, 2 * nodes_per_proc * degree) for p in range(n_procs)]
     priv_base = [ctx.alloc_words(p, max(private_words, 1)) for p in range(n_procs)]
 
-    def addr_of(bases, global_node):
-        owner, offset = divmod(global_node, nodes_per_proc)
-        return bases[owner] + offset * WORD
-
     def build_edges():
         table = {}
         for proc in range(n_procs):
@@ -73,30 +72,45 @@ def em3d(
                 n_local = degree - len(remote)
                 local = (own_lo + ctx.rng.integers(0, nodes_per_proc, size=n_local)).tolist()
                 rows.append(remote + local)
-            table[proc] = rows
+            table[proc] = np.array(rows, dtype=np.int64).reshape(nodes_per_proc, degree)
         return table
 
     e_edges = build_edges()  # E nodes read these H nodes
     h_edges = build_edges()  # H nodes read these E nodes
 
-    def phase(read_bases, write_bases, edges, edge_offset):
+    # Per node: read its neighbours' values and its own edge list,
+    # compute, write its value.
+    node_gaps = np.tile([0] * (degree + 1) + [compute_per_node], nodes_per_proc)
+    node_kinds = np.tile(
+        np.array([OP_READ] * (degree + 1) + [OP_WRITE], dtype=np.uint8), nodes_per_proc
+    )
+    nodes = np.arange(nodes_per_proc)
+
+    def phase_addrs(read_bases, write_bases, edges, edge_offset):
+        """Every processor's op addresses for one phase."""
+        read_bases = np.asarray(read_bases)
+        by_proc = []
         for proc in range(n_procs):
-            builder = ctx.builders[proc]
-            rows = edges[proc]
-            for node in range(nodes_per_proc):
-                for neighbour in rows[node]:
-                    builder.read(addr_of(read_bases, neighbour))
-                builder.read(edge_base[proc] + (edge_offset + node * degree) * WORD)
-                builder.compute(compute_per_node)
-                builder.write(write_bases[proc] + node * WORD)
+            owner, offset = np.divmod(edges[proc], nodes_per_proc)
+            neighbours = read_bases[owner] + offset * WORD
+            edge_list = edge_base[proc] + (edge_offset + nodes * degree) * WORD
+            value = write_bases[proc] + nodes * WORD
+            by_proc.append(np.column_stack([neighbours, edge_list, value]).ravel())
+        return by_proc
+
+    def phase(addrs):
+        for proc in range(n_procs):
+            ctx.builders[proc].extend(node_gaps, node_kinds, addrs[proc])
             if private_words:
                 ctx.stream_private(proc, priv_base[proc], private_words)
         ctx.barrier_all()
 
+    e_phase = phase_addrs(h_base, e_base, e_edges, 0)  # E phase: read H, write E
+    h_phase = phase_addrs(e_base, h_base, h_edges, nodes_per_proc * degree)  # H phase
     ctx.barrier_all()
     for _iteration in range(iterations):
-        phase(h_base, e_base, e_edges, 0)  # E phase: read H, write E
-        phase(e_base, h_base, h_edges, nodes_per_proc * degree)  # H phase
+        phase(e_phase)
+        phase(h_phase)
     return ctx.program(
         seed=seed,
         nodes=2 * total,

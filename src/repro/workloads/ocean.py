@@ -24,6 +24,9 @@ remains explicit.  The blend reproduces Table 3's *partial* invalidation
 reduction (~half) with little execution-time change.
 """
 
+import numpy as np
+
+from repro.trace.ops import OP_READ, OP_WRITE
 from repro.workloads.base import WORD, WorkloadContext
 
 
@@ -46,9 +49,22 @@ def ocean(
     def row_addr(proc, local_row):
         return band_base[proc] + local_row * row_words * WORD
 
-    def read_row(builder, base):
-        for col in range(0, cols, ghost_stride):
-            builder.read(base + col * WORD)
+    # Own-row updates of one sweep, by sweep parity and processor: even
+    # rows every sweep (columns alternate by colour), odd rows on odd
+    # sweeps only.  Each updated point is a read, a compute step and a
+    # write.
+    band = np.arange(rows_per_proc * row_words).reshape(rows_per_proc, row_words) * WORD
+    colour = np.arange(cols) % 2
+    updates = ([], [])
+    for proc in range(n_procs):
+        even_row = (proc * rows_per_proc + np.arange(rows_per_proc)) % 2 == 0
+        for parity, by_proc in enumerate(updates):
+            updated = np.where(even_row[:, None], colour == parity, parity == 1)
+            by_proc.append(np.repeat(band_base[proc] + band[updated], 2))
+    update_gaps = np.tile([0, compute_per_point], band.size)
+    update_kinds = np.tile(np.array([OP_READ, OP_WRITE], dtype=np.uint8), band.size)
+    row_bytes = row_words * WORD
+    ghost_step = ghost_stride * WORD
 
     ctx.barrier_all()
     for _day in range(days):
@@ -58,24 +74,15 @@ def ocean(
                 builder = ctx.builders[proc]
                 # Ghost rows: read the adjacent rows of both neighbours.
                 if proc > 0:
-                    read_row(builder, row_addr(proc - 1, rows_per_proc - 1))
+                    builder.read_range(
+                        row_addr(proc - 1, rows_per_proc - 1), row_bytes, ghost_step
+                    )
                 if proc < n_procs - 1:
-                    read_row(builder, row_addr(proc + 1, 0))
-                # Update own rows: even rows every sweep (columns alternate
-                # by colour), odd rows on odd sweeps only.
-                for local_row in range(rows_per_proc):
-                    global_row = proc * rows_per_proc + local_row
-                    base = row_addr(proc, local_row)
-                    if global_row % 2 == 0:
-                        columns = range(parity, cols, 2)
-                    elif parity == 1:
-                        columns = range(cols)
-                    else:
-                        continue
-                    for col in columns:
-                        builder.read(base + col * WORD)
-                        builder.compute(compute_per_point)
-                        builder.write(base + col * WORD)
+                    builder.read_range(row_addr(proc + 1, 0), row_bytes, ghost_step)
+                addrs = updates[parity][proc]
+                builder.extend(
+                    update_gaps[: len(addrs)], update_kinds[: len(addrs)], addrs
+                )
             ctx.barrier_all()
     return ctx.program(
         seed=seed,

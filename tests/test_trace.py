@@ -53,6 +53,66 @@ class TestBuilder:
         assert len(builder) == 2
 
 
+class TestBulkAppend:
+    def test_pending_compute_folds_into_first_op(self):
+        trace = TraceBuilder().compute(5).extend([2, 3], [OP_READ, OP_WRITE], [0x40, 0x80]).build()
+        assert trace.op(0) == (7, OP_READ, 0x40)
+        assert trace.op(1) == (3, OP_WRITE, 0x80)
+
+    def test_empty_run_keeps_pending_gap(self):
+        builder = TraceBuilder().compute(5).extend([], [], [])
+        assert len(builder) == 0
+        assert builder.read(0x40).build().op(0) == (5, OP_READ, 0x40)
+
+    def test_interleaves_with_single_ops_in_program_order(self):
+        trace = (
+            TraceBuilder()
+            .read(0x40)
+            .compute(1)
+            .extend(
+                np.array([0, 2], dtype=np.int64),
+                np.array([OP_WRITE, OP_READ], dtype=np.uint8),
+                np.array([0x80, 0xC0], dtype=np.int64),
+            )
+            .compute(4)
+            .barrier(3)
+            .extend([1], [OP_LOCK], [0x100])
+            .unlock(0x100)
+            .build()
+        )
+        assert [trace.op(i) for i in range(len(trace))] == [
+            (0, OP_READ, 0x40),
+            (1, OP_WRITE, 0x80),
+            (2, OP_READ, 0xC0),
+            (4, OP_BARRIER, 3),
+            (1, OP_LOCK, 0x100),
+            (0, OP_UNLOCK, 0x100),
+        ]
+        assert (trace.gaps.dtype, trace.kinds.dtype, trace.addrs.dtype) == (
+            np.int64,
+            np.uint8,
+            np.int64,
+        )
+
+    def test_bad_run_refused_at_build(self):
+        builder = TraceBuilder().compute(2).extend([-3], [OP_READ], [0])
+        with pytest.raises(TraceError, match="negative compute gap"):
+            builder.build()
+        builder = TraceBuilder().extend([0, 0], [OP_READ, 9], [0, 0])
+        with pytest.raises(TraceError, match=r"unknown op kinds \[9\]"):
+            builder.build()
+
+    def test_kind_wider_than_a_byte_refused_on_append(self):
+        # Stored, 256 would wrap to OP_READ.
+        for kind in (256, -1):
+            with pytest.raises(TraceError, match=rf"unknown op kinds \[{kind}\]"):
+                TraceBuilder().extend([0], np.array([kind]), [0])
+
+    def test_length_mismatch_refused(self):
+        with pytest.raises(TraceError, match="equal length"):
+            TraceBuilder().extend([0], [OP_READ, OP_READ], [0, 0])
+
+
 class TestTrace:
     def test_length_mismatch_rejected(self):
         with pytest.raises(TraceError):

@@ -4,6 +4,7 @@ each one is supposed to exhibit."""
 import pytest
 
 from repro.config import IdentifyScheme, SystemConfig
+from repro.errors import ConfigError
 from repro.system import Machine
 from repro.trace.ops import OP_LOCK, OP_READ, OP_WRITE
 from repro.workloads import (
@@ -152,6 +153,25 @@ class TestWorkloadProperties:
                     if int(addr) >> 22 != proc:
                         cross += 1
         assert cross / total < 0.1
+
+
+class TestSparseProcessorCounts:
+    @pytest.mark.parametrize("n_procs", [3, 6, 7])
+    def test_count_not_dividing_x_words_runs(self, n_procs):
+        # x is rounded down to an equal chunk per processor.
+        program = sparse(n_procs=n_procs, x_words=64, iterations=1, a_words_per_proc=32)
+        assert program.meta["x_words"] == n_procs * (64 // n_procs)
+        config = SystemConfig(
+            n_processors=n_procs, cache_size=8 * KB, check_invariants=True, quantum=1
+        )
+        machine = Machine(config, program)
+        assert machine.run().exec_time > 0
+        assert machine.progress()["ops_retired"] == program.total_ops()
+        assert all(proc.finished for proc in machine.processors)
+
+    def test_more_processors_than_words_refused(self):
+        with pytest.raises(ConfigError, match=r"n_procs=9 > x_words=8"):
+            sparse(n_procs=9, x_words=8)
 
 
 class TestMicroPatterns:
