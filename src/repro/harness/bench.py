@@ -105,9 +105,12 @@ def run_bench(suite="quick", procs=None, jobs=1, repeat=1, verbose=False,
 
     ``telemetry`` (a :class:`~repro.harness.telemetry.TelemetryConfig`)
     attaches the harness observatory: one pool spans every repeat round,
-    so a ``--log`` file captures the whole benchmark as one stream (one
-    sweep per round) and ``--profile`` sidecars land once per spec; their
-    paths are reported under the snapshot's ``profiles`` key.
+    so a ``--log`` file captures the whole benchmark as one parent-side
+    event stream (one sweep per round), and ``--profile`` sidecars land
+    once per spec (a later round overwrites an earlier one); their
+    paths are reported under the snapshot's ``profiles`` key.  An
+    unwritable log path or profile directory raises
+    :class:`~repro.errors.ConfigError` before any spec runs.
     """
     if repeat < 1:
         raise ConfigError("repeat must be >= 1")

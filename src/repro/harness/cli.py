@@ -52,6 +52,7 @@ import sys
 import time
 
 from repro.coherence.variants import Bugs
+from repro.errors import ConfigError
 from repro.harness import ablations, figure2, figure3, figure4, figure5, figure6, table2, table3
 from repro.harness.configs import (
     PROTOCOLS,
@@ -207,32 +208,25 @@ def build_parser():
     parser.add_argument(
         "--perfetto",
         metavar="PATH",
-        help="run/trace: write a Chrome/Perfetto trace.json of the "
-        "instrumented run (open in ui.perfetto.dev); report: export the "
-        "harness sweep as worker lanes",
+        help="run/trace/why/analyze: write a Chrome/Perfetto trace.json "
+        "of the instrumented run (open in ui.perfetto.dev)",
     )
-    # harness observatory options (docs/OBSERVABILITY.md)
+    # harness observatory options (docs/OBSERVABILITY.md); sweep verbs only
     parser.add_argument(
         "--log",
         metavar="FILE",
-        help="write the harness telemetry event stream (sweep/run/"
-        "heartbeat events) as JSONL, overwriting FILE; analyze with "
-        "'dsi-sim report FILE'",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="in-place terminal dashboard while a sweep runs: per-worker "
-        "lanes, aggregate sim-cycles/s, cache hit ratio, ETA, stragglers",
+        help="experiments/all/ablations/bars/bench: write the sweep's "
+        "telemetry events (sweep and run events) as JSONL, overwriting "
+        "FILE; analyze with 'dsi-sim report FILE'",
     )
     parser.add_argument(
         "--profile",
         choices=("cprofile",),
         default=None,
-        help="wrap each worker run in cProfile and write per-run pstats "
-        "sidecars keyed by RunSpec hash; 'report' and 'bench' print the "
-        "merged hot-function table.  Never affects results or the result "
-        "cache",
+        help="experiments/all/ablations/bars/bench: wrap each executed run "
+        "in cProfile and write per-run pstats sidecars keyed by RunSpec "
+        "hash; 'report' and 'bench' print the merged hot-function table.  "
+        "Never affects results or the result cache",
     )
     parser.add_argument(
         "--profile-dir",
@@ -372,29 +366,59 @@ def build_parser():
 
 
 def _telemetry_config(args):
-    """The harness-observatory settings from ``--log``/``--live``/
-    ``--profile``, or ``None`` when none of them was given."""
+    """The harness-observatory settings from ``--log``/``--profile``, or
+    ``None`` when neither was given."""
     from repro.harness.telemetry import TelemetryConfig
 
     config = TelemetryConfig(
-        log_path=args.log,
-        live=args.live,
-        profile=args.profile,
-        profile_dir=args.profile_dir,
+        log_path=args.log, profile=args.profile, profile_dir=args.profile_dir
     )
     return config if config.active else None
 
 
+def _refused_flag(args, sweeps):
+    """The one-line complaint for a harness flag that would do nothing,
+    or ``None``.  ``--log``/``--profile``/``--profile-dir`` act only on
+    verbs that run a RunPool sweep (``sweeps``); ``report --perfetto``
+    has no harness trace to write."""
+    verb = args.experiment
+    if args.profile_dir and not args.profile:
+        return f"{verb}: --profile-dir needs --profile"
+    if not sweeps:
+        for flag, value in (
+            ("--log", args.log),
+            ("--profile", args.profile),
+            ("--profile-dir", args.profile_dir),
+        ):
+            if value:
+                return (
+                    f"{verb}: {flag} does nothing here (it applies only to "
+                    f"sweeps: experiment ids, {', '.join(SWEEP_VERBS)})"
+                )
+    if verb == "report" and args.perfetto:
+        return (
+            "report: --perfetto does nothing here; it exports instrumented "
+            "runs (run, trace, why, analyze)"
+        )
+    return None
+
+
 def _make_runner(args):
-    return ExperimentRunner(
-        n_procs=args.procs,
-        quick=args.quick,
-        verbose=args.verbose,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        telemetry=_telemetry_config(args),
-    )
+    """The sweep's runner, or ``None`` after a one-line complaint when a
+    telemetry path cannot be written (checked before any spec runs)."""
+    try:
+        return ExperimentRunner(
+            n_procs=args.procs,
+            quick=args.quick,
+            verbose=args.verbose,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            telemetry=_telemetry_config(args),
+        )
+    except ConfigError as exc:
+        print(f"{args.experiment}: {exc}", file=sys.stderr)
+        return None
 
 
 def main(argv=None):
@@ -418,6 +442,10 @@ def _dispatch(argv):
     if verb is None and args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2
+    refusal = _refused_flag(args, verb is None or args.experiment in SWEEP_VERBS)
+    if refusal is not None:
+        print(refusal, file=sys.stderr)
+        return 2
     if args.procs is None and args.experiment != "bench":
         args.procs = 32  # bench's suites pin their own size
     if verb is None:
@@ -436,6 +464,8 @@ def _experiments(args, selected):
     """Run the ``selected`` experiment ids as one batch and print their
     tables."""
     runner = _make_runner(args)
+    if runner is None:
+        return 2
     started = time.time()
     try:
         # Plan: union every selected experiment's specs into one pool
@@ -583,6 +613,8 @@ def _check_protocol(args):
 def _bars(args):
     """Render Figure 3 as terminal stacked bars, one group per workload."""
     runner = _make_runner(args)
+    if runner is None:
+        return 2
     plan = {
         (workload, protocol): runner.spec(
             workload, paper_config(protocol, cache=SMALL_CACHE, n_procs=args.procs)
@@ -668,102 +700,6 @@ def _protocol_overrides(args):
     return overrides
 
 
-class _RunObservatory:
-    """Harness telemetry around one directly-built :class:`Machine` (the
-    ``run`` verb bypasses the RunPool, so the sweep bracketing, heartbeat
-    sampling and profiling happen parent-side here)."""
-
-    def __init__(self, telemetry_config, workload, label):
-        import hashlib
-
-        from repro.harness import telemetry
-
-        self.T = telemetry
-        self.cfg = telemetry_config
-        self.workload = workload
-        self.label = label
-        self.key = hashlib.sha256(f"{workload}|{label}".encode("utf-8")).hexdigest()
-        sinks = []
-        if self.cfg.log_path:
-            sinks.append(telemetry.JsonlSink(self.cfg.log_path))
-        if self.cfg.live:
-            sinks.append(telemetry.LiveDashboard(stream=self.cfg.stream))
-        self.hub = telemetry.TelemetryHub(sinks)
-        self.sampler = None
-        self.profiler = None
-
-    def start(self, machine):
-        from repro.harness.runpool import code_fingerprint
-
-        T, hub = self.T, self.hub
-        hub.begin_sweep(T.new_sweep_id())
-        hub.emit(T.make_event(
-            "sweep_begin", specs=1, pending=1, jobs=1,
-            fingerprint=code_fingerprint()[:16],
-        ))
-        common = dict(spec_key=self.key, workload=self.workload, label=self.label)
-        hub.emit(T.make_event("run_queued", **common))
-        hub.emit(T.make_event("run_started", worker=os.getpid(), **common))
-        self.sampler = T.HeartbeatSampler(
-            hub.emit, self.key, interval=self.cfg.heartbeat_interval
-        )
-        self.sampler.attach(machine)
-        if self.cfg.profile == "cprofile":
-            import cProfile
-
-            self.profiler = cProfile.Profile()
-            self.profiler.enable()
-
-    def finish(self, config, record=None, error=None, wall=0.0):
-        T, hub = self.T, self.hub
-        profile_path = None
-        try:
-            if self.profiler is not None:
-                self.profiler.disable()
-                os.makedirs(self.cfg.profile_dir, exist_ok=True)
-                profile_path = self.T.profile_sidecar(self.cfg.profile_dir, self.key)
-                self.profiler.dump_stats(profile_path)
-            if self.sampler is not None:
-                self.sampler.detach()
-            common = dict(spec_key=self.key, workload=self.workload, label=self.label)
-            if error is not None:
-                import traceback
-
-                hub.emit(T.make_event(
-                    "run_failed",
-                    error=f"{type(error).__name__}: {error}",
-                    traceback="".join(traceback.format_exception(
-                        type(error), error, error.__traceback__
-                    )),
-                    **common,
-                ))
-            elif record is not None:
-                hub.emit(T.make_event(
-                    "run_finished",
-                    cache_kb=config.cache_size // 1024,
-                    net=config.network_latency,
-                    exec_time=record.exec_time,
-                    wall_time_s=record.wall_time_s,
-                    sim_cycles_per_s=record.sim_cycles_per_s,
-                    profile=profile_path,
-                    **common,
-                ))
-            hub.emit(T.make_event(
-                "sweep_end",
-                executed=0 if error is not None else 1,
-                cache_hits=0,
-                failed=1 if error is not None else 0,
-                wall_s=wall,
-            ))
-            hub.end_sweep()
-        finally:
-            hub.close()
-        if self.cfg.log_path:
-            print(f"# wrote telemetry log -> {self.cfg.log_path} "
-                  f"(analyze with: dsi-sim report {self.cfg.log_path})",
-                  file=sys.stderr)
-
-
 def _run_one(args):
     """One simulation with the full statistics dump."""
     program = _load_run_program(args)
@@ -777,12 +713,6 @@ def _run_one(args):
         **_protocol_overrides(args),
     )
     instrument = _make_instrument(args)
-    telemetry_config = _telemetry_config(args)
-    observatory = (
-        _RunObservatory(telemetry_config, program.name, config.describe())
-        if telemetry_config is not None
-        else None
-    )
     started = time.time()
     machine = Machine(config, program, instrument=instrument)
     tracer = None
@@ -790,19 +720,10 @@ def _run_one(args):
         from repro.stats.tracer import MessageTracer, attach_tracer
 
         tracer = attach_tracer(machine, MessageTracer(max_events=args.show_trace))
-    if observatory is not None:
-        observatory.start(machine)
-    try:
-        result = machine.run()
-    except Exception as exc:
-        if observatory is not None:
-            observatory.finish(config, error=exc, wall=time.time() - started)
-        raise
+    result = machine.run()
     wall = time.time() - started
     record = RunRecord.from_result(result)
     record.set_timing(wall)
-    if observatory is not None:
-        observatory.finish(config, record=record, wall=wall)
     extra = {
         "workload": program.describe(),
         "protocol": config.describe(),
@@ -1162,7 +1083,6 @@ def _analyze(args):
 def _bench(args):
     """Benchmark observatory: run a pinned suite into a BENCH_*.json
     snapshot, or compare two snapshots (exit 1 on regression)."""
-    from repro.errors import ConfigError
     from repro.harness import bench
 
     try:
@@ -1273,9 +1193,7 @@ def _bench(args):
 def _report(args):
     """Post-hoc sweep analysis of a harness telemetry log (``--log``):
     worker utilization, queue wait vs execute time, cache-hit breakdown,
-    top-K stragglers, the merged host profile, and an optional Perfetto
-    export of the harness spans as worker lanes."""
-    from repro.errors import ConfigError
+    top-K stragglers and the merged host profile."""
     from repro.harness import telemetry
 
     if not args.target:
@@ -1306,9 +1224,6 @@ def _report(args):
         print(f"# warning: analyzing the {len(events)} valid events "
               f"(log damaged — crashed or still-running sweep?)", file=sys.stderr)
     report = telemetry.sweep_report(events)
-    if args.perfetto:
-        telemetry.write_sweep_perfetto(events, args.perfetto)
-        print(f"# wrote Perfetto trace -> {args.perfetto}", file=sys.stderr)
     if args.as_json:
         print(json.dumps(report, indent=2))
         return 1 if problems else 0
@@ -1344,6 +1259,10 @@ def _generate(args):
     print(f"wrote {program.describe()} -> {args.output}")
     return 0
 
+
+#: Verbs that run a RunPool sweep, besides the experiment ids: the only
+#: ones ``--log``/``--profile``/``--profile-dir`` act on.
+SWEEP_VERBS = ("all", "ablations", "bars", "bench")
 
 #: Every verb besides the experiment ids -> its handler.  ``list``, the
 #: ``--help`` text and ``_dispatch`` all read this one table.

@@ -126,11 +126,11 @@ def localize_layer(workload, config, wl_args):
 def sweep_telemetry(jobs=2, out=None):
     """Prove the harness observatory is invisible to results.
 
-    Two obligations (the PR-2-style proof for ``repro.harness.telemetry``):
+    Two obligations (the proof for ``repro.harness.telemetry``):
 
-    1. *Identity*: every smoke-suite spec run under full telemetry — JSONL
-       log, cProfile sidecars, and an aggressive heartbeat sampler — yields
-       a :class:`~repro.stats.record.RunRecord` equal to the bare run
+    1. *Identity*: every smoke-suite spec run under full telemetry — the
+       JSONL log and cProfile sidecars — yields a
+       :class:`~repro.stats.record.RunRecord` equal to the bare run
        (record equality already excludes the wall-time fields).
     2. *Reconciliation*: a quick-suite sweep under ``--log`` (cold pass
        executing everything, warm pass serving everything from cache)
@@ -156,7 +156,6 @@ def sweep_telemetry(jobs=2, out=None):
             log_path=os.path.join(tmp, "identity.jsonl"),
             profile="cprofile",
             profile_dir=os.path.join(tmp, "profiles"),
-            heartbeat_interval=0.01,
         )
         pool = RunPool(jobs=1, telemetry=observed_cfg)
         try:
@@ -172,16 +171,17 @@ def sweep_telemetry(jobs=2, out=None):
         if out is not None:
             mark = "ok" if not failures else "DIFF"
             print(
-                f"telemetry identity (smoke suite, log+profile+heartbeats): "
+                f"telemetry identity (smoke suite, log+profile): "
                 f"{len(specs)} specs {mark}",
                 file=out,
             )
         # -- 2: log/manifest reconciliation over a real sweep ------------
         quick = [spec for _w, _p, spec in suite_specs("quick")]
         log_path = os.path.join(tmp, "sweep.jsonl")
-        sweep_cfg = T.TelemetryConfig(log_path=log_path, heartbeat_interval=0.05)
         pool = RunPool(
-            jobs=jobs, cache_dir=os.path.join(tmp, "cache"), telemetry=sweep_cfg
+            jobs=jobs,
+            cache_dir=os.path.join(tmp, "cache"),
+            telemetry=T.TelemetryConfig(log_path=log_path),
         )
         try:
             pool.run_batch(quick)  # cold: every spec executes
@@ -193,11 +193,10 @@ def sweep_telemetry(jobs=2, out=None):
         if problems:
             failures.append(("reconcile", "quick-suite --log sweep", problems, "harness"))
         if out is not None:
-            heartbeats = sum(1 for e in events if e["type"] == "heartbeat")
             print(
                 f"telemetry reconcile (quick suite, jobs={jobs}): "
                 f"{len(events)} events, {pool.executed} executed + "
-                f"{pool.cache_hits} cached, {heartbeats} heartbeats "
+                f"{pool.cache_hits} cached "
                 f"{'ok' if not problems else 'MISMATCH'}",
                 file=out,
             )

@@ -75,8 +75,9 @@ class ExperimentRunner:
         ``False`` bypasses the persistent cache.
     telemetry:
         A :class:`~repro.harness.telemetry.TelemetryConfig` forwarded to
-        the pool (``--log``/``--live``/``--profile``); ``None`` means
-        telemetry is off.
+        the pool (``--log``/``--profile``); ``None`` means telemetry is
+        off.  An unwritable log path or profile directory raises
+        :class:`~repro.errors.ConfigError` here, before any spec runs.
     """
 
     def __init__(self, n_procs=32, quick=False, verbose=False, jobs=1,

@@ -18,11 +18,11 @@ Two layers:
     trace once per worker.
 
 Every sweep narrates itself through the harness observatory
-(:mod:`repro.harness.telemetry`): the pool emits
+(:mod:`repro.harness.telemetry`).  Only the parent emits events:
 ``sweep_begin``/``run_queued``/``run_cached``/``run_finished``/
-``run_failed``/``sweep_end`` events parent-side, while pool workers ship
-``run_started`` and periodic ``heartbeat`` events back over a
-``multiprocessing.Queue`` installed by the executor initializer.  The
+``run_failed``/``sweep_end``.  Workers emit nothing; the one pool task,
+:func:`_run_task`, hands back the record together with the worker's
+pid and start time, which the parent puts on ``run_finished``.  The
 ``--verbose`` stderr lines are one sink on that same stream, so logging
 and structured telemetry cannot drift.  A failing or dying worker never
 hangs the sweep: the pool drains every submitted future, emits one
@@ -30,6 +30,7 @@ hangs the sweep: the pool drains every submitted future, emits one
 the first error only after the drain.
 """
 
+import cProfile
 import hashlib
 import json
 import os
@@ -40,11 +41,10 @@ from concurrent.futures import ProcessPoolExecutor
 import repro
 from repro.harness.telemetry import (
     JsonlSink,
-    LiveDashboard,
     TelemetryHub,
     VerboseSink,
-    WorkerTelemetry,
     make_event,
+    make_profile_dir,
     new_sweep_id,
     profile_sidecar,
 )
@@ -54,17 +54,13 @@ from repro.stats.record import RunRecord
 #: Lives at module scope so pool workers reuse programs across tasks.
 _PROGRAMS = {}
 
-#: Per-worker telemetry half (run_started + heartbeats + profiling),
-#: installed by :func:`_init_worker` in pool processes; ``None`` keeps
-#: the zero-overhead bare path.
-_WORKER_TELEMETRY = None
-
 
 def execute_spec(spec, observer=None):
-    """Build (or reuse) the program and run one spec, stamping run
-    telemetry (wall time, simulated cycles per host second) into the
-    record.  Top-level so the process pool can pickle it.  ``observer``
-    passes through to :meth:`RunSpec.execute` (heartbeat sampling)."""
+    """Build (or reuse) the program and run one spec, stamping its wall
+    time and simulated cycles per host second into the record.
+    ``observer`` passes through to :meth:`RunSpec.execute`; the pool
+    never sets it.  The benchmark's layer tracer patches this module
+    attribute, so it keeps its name and signature."""
     key = (spec.workload, spec.workload_args)
     program = _PROGRAMS.get(key)
     if program is None:
@@ -75,32 +71,23 @@ def execute_spec(spec, observer=None):
     return record
 
 
-def _init_worker(queue, heartbeat_interval, profile, profile_dir):
-    """Pool-worker initializer: installs the worker telemetry half,
-    emitting into the parent's queue (``queue.put`` is the emit hook —
-    the parent hub's pump thread stamps ``seq``/``sweep`` on arrival)."""
-    global _WORKER_TELEMETRY
-    _WORKER_TELEMETRY = WorkerTelemetry(
-        queue.put,
-        heartbeat_interval=heartbeat_interval,
-        profile=profile,
-        profile_dir=profile_dir,
-    )
+def _run_task(spec, profile_dir=None):
+    """The pool task, serial and parallel alike.  Top-level so the
+    process pool can pickle it.
 
-
-def _telemetry_execute(spec, telemetry=None):
-    """Run one spec under the installed worker telemetry (if any):
-    ``run_started``, a heartbeat sampler attached for the duration, and
-    an optional cProfile sidecar.  Falls back to the bare path when
-    telemetry is off, so untelemetered sweeps pay nothing."""
-    telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
-    if telem is None:
-        return execute_spec(spec)
-    sampler, profiler = telem.start_run(spec)
-    try:
-        return execute_spec(spec, observer=sampler)
-    finally:
-        telem.end_run(spec, sampler, profiler)
+    Calls :func:`execute_spec` through this module's attribute at call
+    time, so a patched ``runpool.execute_spec`` takes effect in forked
+    workers too.  With ``profile_dir`` set, the run is wrapped in
+    cProfile and its pstats sidecar written there.  Returns
+    ``(record, pid, started)``: the worker's pid and the host time the
+    task began."""
+    started = time.time()
+    if profile_dir is None:
+        return execute_spec(spec), os.getpid(), started
+    with cProfile.Profile() as profiler:
+        record = execute_spec(spec)
+    profiler.dump_stats(profile_sidecar(profile_dir, spec.key()))
+    return record, os.getpid(), started
 
 
 _FINGERPRINTS = {}
@@ -114,9 +101,9 @@ def code_fingerprint():
     environment variable is folded in: a
     :class:`~repro.config.SystemConfig` is a pure value, so a spec's key
     and the source alone decide its result.  Telemetry settings
-    (``--log``, ``--live``, ``--profile``) never affect simulation
-    results either (the equivalence harness proves it), so they must
-    never bust the result cache.
+    (``--log``, ``--profile``) never affect simulation results either
+    (the equivalence harness proves it), so they must never bust the
+    result cache.
     """
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     fingerprint = _FINGERPRINTS.get(package_dir)
@@ -185,8 +172,9 @@ class RunPool:
     telemetry:
         A :class:`~repro.harness.telemetry.TelemetryConfig`; ``None`` or
         an inactive config means telemetry is off.  Activates the JSONL
-        log, the live dashboard, worker heartbeats and host profiling.
-        Never affects results or cache keys.
+        log and host profiling; an unwritable log path or profile
+        directory raises :class:`~repro.errors.ConfigError` here, before
+        any spec runs.  Never affects results or cache keys.
     """
 
     def __init__(self, jobs=None, cache_dir=None, use_cache=True, verbose=False,
@@ -205,21 +193,17 @@ class RunPool:
         self.cache_hits = 0
         self.failed = 0
         self._manifest = []
+        self._profile_dir = None
         sinks = []
         if self.telemetry is not None:
+            if self.telemetry.profile:
+                self._profile_dir = self.telemetry.profile_dir
+                make_profile_dir(self._profile_dir)
             if self.telemetry.log_path:
                 sinks.append(JsonlSink(self.telemetry.log_path))
-            if self.telemetry.live:
-                sinks.append(LiveDashboard(stream=self.telemetry.stream))
         if verbose:
-            stream = self.telemetry.stream if self.telemetry is not None else None
-            sinks.append(VerboseSink(stream=stream))
-        # A hub exists whenever anything observes the sweep — including
-        # profile-only runs, whose run_started/heartbeat events still
-        # need the pump even with no sink attached.
-        self.hub = (
-            TelemetryHub(sinks) if (sinks or self.telemetry is not None) else None
-        )
+            sinks.append(VerboseSink())
+        self.hub = TelemetryHub(sinks) if sinks else None
 
     # ------------------------------------------------------------------
     def run_batch(self, specs):
@@ -274,10 +258,12 @@ class RunPool:
                             label=spec.config.describe(),
                         )
                     )
-            for spec, record in self._execute_all(pending):
+            for spec, (record, worker, started) in self._execute_all(pending):
                 self.executed += 1
                 self._note(spec, record, cached=False)
-                self._emit_terminal("run_finished", spec, record)
+                self._emit_terminal(
+                    "run_finished", spec, record, worker=worker, started=started
+                )
                 if self.cache:
                     self.cache.put(spec, record)
                 records[spec] = record
@@ -300,8 +286,7 @@ class RunPool:
         return self.run_batch([spec])[spec]
 
     def close(self):
-        """Stop the telemetry pump and flush/close every sink (the JSONL
-        log, the live dashboard's final frame).  Idempotent."""
+        """Flush and close every telemetry sink.  Idempotent."""
         if self.hub is not None:
             self.hub.close()
 
@@ -326,62 +311,33 @@ class RunPool:
             yield from self._execute_parallel(pending)
 
     def _execute_serial(self, pending):
-        telem = None
-        if self.hub is not None and self.telemetry is not None:
-            telem = WorkerTelemetry(
-                self.hub.emit,
-                heartbeat_interval=self.telemetry.heartbeat_interval,
-                profile=self.telemetry.profile,
-                profile_dir=self.telemetry.profile_dir,
-            )
         for spec in pending:
             try:
-                record = _telemetry_execute(spec, telemetry=telem)
+                result = _run_task(spec, self._profile_dir)
             except Exception as exc:
                 self.failed += 1
                 self._emit_failure(spec, exc)
                 raise
-            yield spec, record
+            yield spec, result
 
     def _execute_parallel(self, pending):
-        workers = min(self.jobs, len(pending))
-        initializer = None
-        initargs = ()
-        if self.hub is not None and self.telemetry is not None:
-            initializer = _init_worker
-            initargs = (
-                self.hub.worker_queue(),
-                self.telemetry.heartbeat_interval,
-                self.telemetry.profile,
-                self.telemetry.profile_dir,
-            )
         first_error = None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            ) as executor:
-                futures = [
-                    executor.submit(_telemetry_execute, spec) for spec in pending
-                ]
-                for spec, future in zip(pending, futures):
-                    try:
-                        record = future.result()
-                    except Exception as exc:
-                        # Drain every remaining future (a dead worker
-                        # breaks them all) so no result — or telemetry
-                        # byte — is lost before we re-raise.
-                        self.failed += 1
-                        self._emit_failure(spec, exc)
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    yield spec, record
-        finally:
-            # The executor has shut down: every worker write hit the
-            # queue's pipe before this sentinel, so the pump drains
-            # completely before parking.
-            if self.hub is not None:
-                self.hub.stop_pump()
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as executor:
+            futures = [
+                executor.submit(_run_task, spec, self._profile_dir) for spec in pending
+            ]
+            for spec, future in zip(pending, futures):
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    # Drain every remaining future (a dead worker breaks
+                    # them all) so no result is lost before we re-raise.
+                    self.failed += 1
+                    self._emit_failure(spec, exc)
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                yield spec, result
         if first_error is not None:
             raise first_error
 
@@ -399,13 +355,7 @@ class RunPool:
             }
         )
 
-    def _profile_path(self, spec):
-        if self.telemetry is None or not self.telemetry.profile:
-            return None
-        path = profile_sidecar(self.telemetry.profile_dir, spec.key())
-        return path if os.path.exists(path) else None
-
-    def _emit_terminal(self, type_, spec, record):
+    def _emit_terminal(self, type_, spec, record, worker=None, started=None):
         if self.hub is None:
             return
         config = spec.config
@@ -420,7 +370,12 @@ class RunPool:
         }
         if type_ == "run_finished":
             fields["sim_cycles_per_s"] = record.sim_cycles_per_s
-            fields["profile"] = self._profile_path(spec)
+            fields["profile"] = (
+                profile_sidecar(self._profile_dir, spec.key())
+                if self._profile_dir else None
+            )
+            fields["worker"] = worker
+            fields["started"] = started
         self.hub.emit(make_event(type_, **fields))
 
     def _emit_failure(self, spec, exc):

@@ -68,12 +68,13 @@ class RunSpec:
         """Run the simulation this spec describes; returns a
         :class:`~repro.stats.record.RunRecord`.
 
-        ``observer`` is the zero-overhead-when-disabled telemetry hook
-        (``observer is not None``, mirroring the probe bus guard): an
-        object with ``attach(machine)``/``detach()`` — e.g. the harness
-        :class:`~repro.harness.telemetry.HeartbeatSampler` — that only
-        *reads* live machine counters.  Unlike an ``instrument`` it does
-        not alter engine selection or results.
+        ``observer`` is an optional hook with ``attach(machine)`` and
+        ``detach()``: ``attach`` is called on the built machine before
+        the run, ``detach`` after it, also when the run raises.  It may
+        only *read* the machine (the benchmark's run clock times
+        ``Machine.run`` and checks :meth:`Machine.progress` this way);
+        unlike an ``instrument`` it alters neither engine selection nor
+        results.  ``None`` costs one ``is not None`` check.
         """
         if program is None:
             program = self.build_program()

@@ -1,73 +1,56 @@
 """The harness observatory: a schema-versioned event stream for sweeps.
 
-The simulated machine has been deeply observable since the probe bus
-(PR 2), but the harness *running* it was a black box: a
-:class:`~repro.harness.runpool.RunPool` sweep was hundreds of worker
-runs visible only as optional stderr lines.  This module is the
-telemetry substrate underneath every harness verb:
+A :class:`~repro.harness.runpool.RunPool` sweep narrates itself as one
+stream of events, all emitted by the parent process:
 
 Event stream
-    One JSON object per harness happening — ``sweep_begin``/``sweep_end``
-    bracketing each batch, ``run_queued``/``run_started``/``run_cached``/
-    ``run_finished``/``run_failed`` per spec, and periodic ``heartbeat``
-    events carrying live simulation counters sampled inside the worker
-    (see :class:`HeartbeatSampler`).  Every event carries
-    ``schema == TELEMETRY_SCHEMA_VERSION`` and is validated on emission.
+    One JSON object per harness happening: ``sweep_begin``/``sweep_end``
+    bracket each batch, and each spec gets ``run_queued`` and then one
+    terminal ``run_cached``/``run_finished``/``run_failed``.  A
+    ``run_finished`` event names the worker pid that ran the spec and
+    the host time it started there (both come back with the record).
+    Every event carries ``schema == TELEMETRY_SCHEMA_VERSION`` and is
+    validated on emission.
 
 Sinks
     :class:`JsonlSink` (``--log FILE``) writes one line per event to a
     fresh FILE, flushed immediately so a crashed sweep still leaves a
-    readable log; :class:`VerboseSink` renders the classic ``--verbose``
-    lines from the same events (one code path, single parent-side
-    writer, so process-pool output never interleaves);
-    :class:`LiveDashboard` (``--live``) repaints an in-place terminal
-    view with per-worker lanes, aggregate simulation speed, cache hit
-    ratio, an ETA and straggler flags.
-
-Transport
-    Workers ship events over a ``multiprocessing.Queue``; the parent's
-    :class:`TelemetryHub` pumps the queue from a background thread,
-    stamps a total-order ``seq`` and the active sweep id, and fans out
-    to the sinks.  Telemetry never influences results: the sampler only
-    *reads* machine counters, profiling wraps the worker in ``cProfile``
-    without touching the simulation, and none of it enters the result
-    cache's code fingerprint (``tests/test_telemetry.py`` and
+    readable log; :class:`VerboseSink` renders the ``--verbose`` lines
+    from the same events.  :class:`TelemetryHub` stamps a total-order
+    ``seq`` and the active sweep id and hands each event to the sinks.
+    Telemetry never influences results: profiling wraps the run in
+    ``cProfile`` without touching the simulation, and no setting enters
+    the result cache's code fingerprint (``tests/test_telemetry.py`` and
     ``repro.harness.equivalence --telemetry`` prove both).
 
 Post-hoc analysis
     :func:`load_log` + :func:`sweep_report` power ``dsi-sim report``:
-    worker utilization, queue-wait vs execute time, cache-hit breakdown,
-    top-K stragglers, and a Perfetto export of the harness spans
-    (:func:`sweep_to_perfetto`) so a sweep renders as worker lanes.
-    :func:`reconcile` cross-checks a log against
-    :meth:`~repro.harness.runpool.RunPool.manifest` — every spec exactly
+    worker utilization, queue-wait vs execute time, cache-hit breakdown
+    and top-K stragglers.  :func:`reconcile` cross-checks a log against
+    :meth:`~repro.harness.runpool.RunPool.manifest`: every spec exactly
     once, zero lost events.
 
 Host profiling
-    ``--profile cprofile`` wraps each worker run and writes a per-run
+    ``--profile cprofile`` wraps each executed run and writes a per-run
     ``pstats`` sidecar keyed by the RunSpec content hash
     (:func:`profile_sidecar`); :func:`profile_table` merges any number
     of sidecars into one top-N hot-function table for ``dsi-sim
     report`` and ``dsi-sim bench``.
 """
 
-import cProfile
 import json
-import multiprocessing
 import os
 import pstats
 import sys
-import threading
 import time
 import uuid
 
 from repro.errors import ConfigError, ReproError
-from repro.stats.ascii_chart import progress_bar
 from repro.stats.report import format_table
 
 #: Version of the harness event-stream layout.  Bump on any field
 #: rename/removal; adding optional fields is compatible.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Fields every event carries (``seq`` and ``sweep`` are stamped by the
 #: hub, so pre-hub events legitimately lack them).
@@ -82,14 +65,10 @@ EVENT_FIELDS = {
         "sweep", "spec_key", "workload", "label", "cache_kb", "net",
         "exec_time", "wall_time_s",
     ),
-    "run_started": ("sweep", "spec_key", "workload", "label", "worker"),
-    "heartbeat": (
-        "sweep", "spec_key", "worker", "sim_cycles", "events_fired",
-        "ops_retired", "ops_total",
-    ),
     "run_finished": (
         "sweep", "spec_key", "workload", "label", "cache_kb", "net",
         "exec_time", "wall_time_s", "sim_cycles_per_s", "profile",
+        "worker", "started",
     ),
     "run_failed": ("sweep", "spec_key", "workload", "label", "error", "traceback"),
     "sweep_end": ("sweep", "executed", "cache_hits", "failed", "wall_s"),
@@ -98,9 +77,6 @@ EVENT_FIELDS = {
 #: Event types that terminate a spec's life in a sweep (reconciliation
 #: demands exactly one of these per spec per sweep).
 TERMINAL_TYPES = ("run_cached", "run_finished", "run_failed")
-
-#: Sentinel shipped through the worker queue to stop the pump thread.
-_STOP = "__dsi_telemetry_stop__"
 
 
 class TelemetryError(ReproError):
@@ -142,11 +118,6 @@ def validate_event(event):
         raise TelemetryError(f"{type_} event ts is not a number: {event['ts']!r}")
     if "seq" in event and (not isinstance(event["seq"], int) or event["seq"] < 0):
         raise TelemetryError(f"{type_} event seq invalid: {event['seq']!r}")
-    if type_ == "heartbeat":
-        for field in ("sim_cycles", "events_fired", "ops_retired", "ops_total"):
-            value = event[field]
-            if not isinstance(value, int) or value < 0:
-                raise TelemetryError(f"heartbeat {field} invalid: {value!r}")
     return event
 
 
@@ -197,37 +168,46 @@ def profile_sidecar(profile_dir, spec_key):
     return os.path.join(profile_dir, spec_key[:32] + ".pstats")
 
 
+def make_profile_dir(path):
+    """Create the sidecar directory, failing with a one-line
+    :class:`ConfigError` naming ``path`` when it cannot be written —
+    the pool calls this before any spec runs."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create profile directory {path}: {exc.strerror or exc}"
+        ) from None
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write profile directory {path}: permission denied")
+
+
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
 class TelemetryConfig:
     """Harness telemetry settings carried by a RunPool.
 
-    ``log_path``/``live``/``profile`` each independently activate the
-    hub; ``heartbeat_interval`` (host seconds) throttles the worker
-    sampler (``None``/``0`` disables heartbeats).  None of these fields
-    may influence simulation results — the result cache's code
-    fingerprint deliberately ignores them, and the equivalence harness
-    proves records identical with and without telemetry.
+    ``log_path`` and ``profile`` each independently activate telemetry.
+    None of these fields may influence simulation results — the result
+    cache's code fingerprint deliberately ignores them, and the
+    equivalence harness proves records identical with and without
+    telemetry.
     """
 
-    def __init__(self, log_path=None, live=False, profile=None, profile_dir=None,
-                 heartbeat_interval=0.5, stream=None):
+    def __init__(self, log_path=None, profile=None, profile_dir=None):
         if profile not in (None, "cprofile"):
             raise ConfigError(f"unknown profiler {profile!r}; have: cprofile")
         self.log_path = log_path
-        self.live = live
         self.profile = profile
         self.profile_dir = profile_dir or (
             (log_path + ".profiles") if (profile and log_path) else
             ("dsi-profiles" if profile else None)
         )
-        self.heartbeat_interval = heartbeat_interval
-        self.stream = stream
 
     @property
     def active(self):
-        return bool(self.log_path or self.live or self.profile)
+        return bool(self.log_path or self.profile)
 
 
 # ----------------------------------------------------------------------
@@ -245,12 +225,17 @@ class TelemetrySink:
 
 class JsonlSink(TelemetrySink):
     """One JSON line per event, flushed eagerly: a killed sweep still
-    leaves every emitted event on disk, and because only the parent
-    process writes, pool workers can never interleave lines."""
+    leaves every emitted event on disk.  An unwritable ``path`` fails
+    here, with a one-line :class:`ConfigError`, before any spec runs."""
 
     def __init__(self, path):
         self.path = path
-        self._handle = open(path, "w", encoding="utf-8")
+        try:
+            self._handle = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write telemetry log {path}: {exc.strerror or exc}"
+            ) from None
 
     def handle(self, event):
         self._handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -262,9 +247,7 @@ class JsonlSink(TelemetrySink):
 
 
 class VerboseSink(TelemetrySink):
-    """The classic ``--verbose`` stderr lines, re-derived from the event
-    stream (the satellite fix for the raw ``print`` that used to live in
-    ``RunPool._log``)."""
+    """The ``--verbose`` stderr lines, derived from the event stream."""
 
     def __init__(self, stream=None):
         self.stream = stream
@@ -298,206 +281,15 @@ class VerboseSink(TelemetrySink):
         )
 
 
-class LiveDashboard(TelemetrySink):
-    """In-place terminal dashboard for a running sweep (``--live``).
-
-    One lane per worker process (current run, live sim-cycle counter and
-    per-worker simulation speed from consecutive heartbeats), aggregate
-    progress, cache-hit ratio, an ETA extrapolated from completed wall
-    times, and straggler flagging (a run exceeding
-    ``straggler_factor`` x the mean completed wall time).  On a TTY the
-    frame repaints in place via ANSI cursor movement; otherwise a plain
-    progress line is printed at most every ``interval`` seconds.
-    """
-
-    def __init__(self, stream=None, interval=0.25, straggler_factor=2.5,
-                 clock=time.monotonic, width=68):
-        self.stream = stream
-        self.interval = interval
-        self.straggler_factor = straggler_factor
-        self.clock = clock
-        self.width = width
-        self._painted_lines = 0
-        self._last_paint = 0.0
-        # sweep state
-        self.total = 0
-        self.finished = 0
-        self.cached = 0
-        self.failed = 0
-        self.wall_times = []
-        self.running = {}  # spec_key -> {workload,label,ts,worker}
-        self.workers = {}  # pid -> {"hb": last heartbeat, "rate": cycles/s}
-        self.jobs = 1
-        self._t0 = None
-
-    def _out(self):
-        return self.stream if self.stream is not None else sys.stderr
-
-    # -- state ----------------------------------------------------------
-    def handle(self, event):
-        type_ = event["type"]
-        if type_ == "sweep_begin":
-            self.total += event["specs"]
-            self.jobs = max(self.jobs, event["jobs"])
-            if self._t0 is None:
-                self._t0 = event["ts"]
-        elif type_ == "run_started":
-            self.running[event["spec_key"]] = event
-            self.workers.setdefault(event["worker"], {"hb": None, "rate": None})
-        elif type_ == "heartbeat":
-            state = self.workers.setdefault(event["worker"], {"hb": None, "rate": None})
-            last = state["hb"]
-            if (
-                last is not None
-                and last["spec_key"] == event["spec_key"]
-                and event["ts"] > last["ts"]
-            ):
-                state["rate"] = (
-                    (event["sim_cycles"] - last["sim_cycles"])
-                    / (event["ts"] - last["ts"])
-                )
-            state["hb"] = event
-        elif type_ == "run_cached":
-            self.cached += 1
-        elif type_ == "run_finished":
-            self.finished += 1
-            started = self.running.pop(event["spec_key"], None)
-            if started is not None:
-                worker = self.workers.get(started["worker"])
-                if worker is not None and worker["hb"] is not None \
-                        and worker["hb"]["spec_key"] == event["spec_key"]:
-                    worker["rate"] = None
-            if event["wall_time_s"]:
-                self.wall_times.append(event["wall_time_s"])
-        elif type_ == "run_failed":
-            self.failed += 1
-            self.running.pop(event["spec_key"], None)
-        self.repaint(final=(type_ == "sweep_end"), now=event["ts"])
-
-    # -- rendering ------------------------------------------------------
-    def _mean_wall(self):
-        return sum(self.wall_times) / len(self.wall_times) if self.wall_times else None
-
-    def eta_seconds(self, now):
-        """Remaining runs x mean completed wall time / worker lanes."""
-        mean = self._mean_wall()
-        done = self.finished + self.cached + self.failed
-        remaining = max(self.total - done, 0)
-        if mean is None or not remaining:
-            return None
-        return remaining * mean / max(min(self.jobs, remaining), 1)
-
-    def is_straggler(self, started_ts, now):
-        mean = self._mean_wall()
-        if mean is None or len(self.wall_times) < 3:
-            return False
-        return (now - started_ts) > self.straggler_factor * mean
-
-    def render(self, now=None):
-        """The current frame as text (pure; exercised directly by tests)."""
-        now = self.clock() if now is None else now
-        done = self.finished + self.cached + self.failed
-        served = self.finished + self.cached
-        hit = f"{self.cached / served:.0%}" if served else "-"
-        eta = self.eta_seconds(now)
-        eta_text = f"ETA {eta:.0f}s" if eta is not None else "ETA -"
-        fraction = done / self.total if self.total else 0.0
-        lines = [
-            f"sweep {progress_bar(fraction, width=24)} {done}/{self.total} "
-            f"done  {len(self.running)} running  {self.cached} cached "
-            f"(hit {hit})  {self.failed} failed  {eta_text}"
-        ]
-        agg = sum(w["rate"] for w in self.workers.values() if w["rate"])
-        by_worker = {}
-        for spec_key, started in self.running.items():
-            by_worker[started["worker"]] = (spec_key, started)
-        for pid in sorted(self.workers):
-            state = self.workers[pid]
-            spec_key, started = by_worker.get(pid, (None, None))
-            hb = state["hb"]
-            if started is None and (hb is None or hb["spec_key"] not in self.running):
-                label, bar, cyc, elapsed, flag = "idle", progress_bar(0.0, 10), "-", "", ""
-            else:
-                if started is None:
-                    started = self.running.get(hb["spec_key"], hb)
-                label = (
-                    f"{started.get('workload', '?')}/{started.get('label', '?')}"
-                    if "workload" in started else hb["spec_key"][:12]
-                )
-                ops_fraction = 0.0
-                cyc = "-"
-                if hb is not None and hb["spec_key"] == spec_key:
-                    if hb["ops_total"]:
-                        ops_fraction = hb["ops_retired"] / hb["ops_total"]
-                    cyc = _kilo(hb["sim_cycles"])
-                bar = progress_bar(ops_fraction, 10)
-                elapsed = f"{now - started['ts']:5.1f}s" if "ts" in started else ""
-                flag = (
-                    "  !straggler"
-                    if "ts" in started and self.is_straggler(started["ts"], now)
-                    else ""
-                )
-            rate = f"{_kilo(state['rate'])} cyc/s" if state["rate"] else ""
-            lines.append(
-                f"  w{pid:<8} {label:<28.28s} {bar} {cyc:>8} {rate:>12} "
-                f"{elapsed}{flag}"
-            )
-        mean = self._mean_wall()
-        tail = f"aggregate {_kilo(agg)} cyc/s" if agg else "aggregate -"
-        if mean is not None:
-            tail += f", mean run {mean:.1f}s"
-        lines.append(f"  {tail}")
-        return "\n".join(lines)
-
-    def repaint(self, final=False, now=None):
-        out = self._out()
-        tty = getattr(out, "isatty", lambda: False)()
-        host_now = self.clock()
-        if not final and host_now - self._last_paint < self.interval:
-            return
-        self._last_paint = host_now
-        if tty:
-            frame = self.render(now=now)
-            if self._painted_lines:
-                out.write(f"\x1b[{self._painted_lines}F\x1b[J")
-            out.write(frame + "\n")
-            self._painted_lines = frame.count("\n") + 1
-        else:
-            done = self.finished + self.cached + self.failed
-            out.write(
-                f"# sweep {done}/{self.total} done, {self.cached} cached, "
-                f"{self.failed} failed\n"
-            )
-        out.flush()
-        if final:
-            self._painted_lines = 0
-
-    def close(self):
-        if self._painted_lines:
-            self.repaint(final=True)
-
-
-def _kilo(value):
-    if value is None:
-        return "-"
-    if value >= 1_000_000:
-        return f"{value / 1_000_000:.1f}M"
-    if value >= 1_000:
-        return f"{value / 1_000:.0f}k"
-    return f"{value:.0f}" if isinstance(value, float) else str(value)
-
-
 # ----------------------------------------------------------------------
-# Hub: parent-side fan-out with worker-queue pump
+# Hub: parent-side fan-out
 # ----------------------------------------------------------------------
 class TelemetryHub:
-    """Serializes all telemetry through one writer.
+    """Hands every event to the sinks, in emission order.
 
-    ``emit`` validates, stamps the total-order ``seq`` and the active
-    sweep id, and fans out to every sink under a lock — the parent
-    thread, the queue pump and (in serial mode) the in-process worker
-    all funnel through here, which is what makes the JSONL log and the
-    verbose stream flush-safe under process-pool interleaving.
+    Only the parent process emits, so this is a plain single-threaded
+    fan-out: ``emit`` stamps the total-order ``seq`` and the active
+    sweep id, validates, and calls each sink.
     """
 
     def __init__(self, sinks=()):
@@ -505,73 +297,31 @@ class TelemetryHub:
         self.errors = []
         self._seq = 0
         self._sweep = None
-        self._lock = threading.Lock()
-        self._queue = None
-        self._pump = None
         self._closed = False
 
-    # -- sweep bracketing ---------------------------------------------
     def begin_sweep(self, sweep_id):
         self._sweep = sweep_id
 
     def end_sweep(self):
         self._sweep = None
 
-    # -- emission ------------------------------------------------------
     def emit(self, event):
-        with self._lock:
-            event = dict(event)
-            if self._sweep is not None:
-                event.setdefault("sweep", self._sweep)
-            event["seq"] = self._seq
-            self._seq += 1
-            validate_event(event)
-            for sink in self.sinks:
-                try:
-                    sink.handle(event)
-                except Exception as exc:  # a sink must never kill the sweep
-                    self.errors.append(exc)
-
-    # -- worker transport ----------------------------------------------
-    def worker_queue(self):
-        """The ``multiprocessing.Queue`` workers emit into; starts the
-        pump thread on first use (and again after a ``stop_pump``)."""
-        if self._queue is None:
-            self._queue = multiprocessing.Queue()
-        if self._pump is None:
-            self._pump = threading.Thread(
-                target=self._pump_loop, name="telemetry-pump", daemon=True
-            )
-            self._pump.start()
-        return self._queue
-
-    def _pump_loop(self):
-        while True:
-            item = self._queue.get()
-            if item == _STOP:
-                return
+        event = dict(event)
+        if self._sweep is not None:
+            event.setdefault("sweep", self._sweep)
+        event["seq"] = self._seq
+        self._seq += 1
+        validate_event(event)
+        for sink in self.sinks:
             try:
-                self.emit(item)
-            except Exception as exc:
+                sink.handle(event)
+            except Exception as exc:  # a sink must never kill the sweep
                 self.errors.append(exc)
-
-    def stop_pump(self):
-        """Drain the worker queue to the last enqueued event and park the
-        pump.  Called after the process pool has shut down, so every
-        worker byte is already in the pipe and FIFO order guarantees the
-        sentinel is read last."""
-        if self._pump is not None:
-            self._queue.put(_STOP)
-            self._pump.join(timeout=60)
-            if self._pump.is_alive():  # pragma: no cover - defensive
-                self.errors.append(TelemetryError("telemetry pump failed to stop"))
-            self._pump = None
 
     def close(self):
         if self._closed:
             return
         self._closed = True
-        self.stop_pump()
         for sink in self.sinks:
             try:
                 sink.close()
@@ -584,147 +334,20 @@ def new_sweep_id():
 
 
 # ----------------------------------------------------------------------
-# Worker side: heartbeat sampling and profiling
-# ----------------------------------------------------------------------
-class HeartbeatSampler:
-    """Samples live machine counters from a side thread while a spec runs.
-
-    :meth:`attach` is the zero-overhead-when-disabled hook invoked by
-    :meth:`repro.harness.runspec.RunSpec.execute` (guarded by
-    ``observer is not None``, mirroring the probe bus's ``self.obs is
-    not None`` idiom).  The sampler thread only *reads* the machine —
-    ``Machine.progress()`` returns plain counter values — so the
-    simulation's event stream, timing and results are untouched; a run
-    shorter than one interval simply emits no heartbeats.
-    """
-
-    def __init__(self, emit, spec_key, worker=None, interval=0.5):
-        self.emit = emit
-        self.spec_key = spec_key
-        self.worker = worker if worker is not None else os.getpid()
-        self.interval = interval
-        self.heartbeats = 0
-        self._machine = None
-        self._stop = threading.Event()
-        self._thread = None
-
-    # -- RunSpec.execute observer protocol ------------------------------
-    def attach(self, machine):
-        self._machine = machine
-        if self.interval and self.interval > 0:
-            self._thread = threading.Thread(
-                target=self._loop, name="dsi-heartbeat", daemon=True
-            )
-            self._thread.start()
-
-    def detach(self):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-        self._machine = None
-
-    # -- sampling -------------------------------------------------------
-    def sample(self):
-        """Emit one heartbeat from the current machine counters (called
-        from the sampler thread; also directly by tests)."""
-        machine = self._machine
-        if machine is None:
-            return None
-        progress = machine.progress()
-        event = make_event(
-            "heartbeat",
-            spec_key=self.spec_key,
-            worker=self.worker,
-            **progress,
-        )
-        self.emit(event)
-        self.heartbeats += 1
-        return event
-
-    def _loop(self):
-        while not self._stop.wait(self.interval):
-            try:
-                self.sample()
-            except Exception:  # pragma: no cover - a dying machine mid-read
-                return
-
-
-class WorkerTelemetry:
-    """Per-process worker half of the observatory.
-
-    Installed in every pool worker by the ``RunPool`` initializer (and
-    parent-side for serial runs): emits ``run_started``, attaches a
-    :class:`HeartbeatSampler`, and optionally wraps the run in
-    ``cProfile``, dumping a pstats sidecar keyed by the spec hash.
-    """
-
-    def __init__(self, emit, heartbeat_interval=0.5, profile=None, profile_dir=None):
-        self.emit = emit
-        self.heartbeat_interval = heartbeat_interval
-        self.profile = profile
-        self.profile_dir = profile_dir
-
-    def start_run(self, spec):
-        self.emit(
-            make_event(
-                "run_started",
-                spec_key=spec.key(),
-                workload=spec.workload,
-                label=spec.config.describe(),
-                worker=os.getpid(),
-            )
-        )
-        sampler = None
-        if self.heartbeat_interval:
-            sampler = HeartbeatSampler(
-                self.emit, spec.key(), interval=self.heartbeat_interval
-            )
-        profiler = None
-        if self.profile == "cprofile":
-            profiler = cProfile.Profile()
-            profiler.enable()
-        return sampler, profiler
-
-    def end_run(self, spec, sampler, profiler):
-        """Stop instruments and write the profile sidecar; returns the
-        sidecar path (``None`` when not profiling)."""
-        if profiler is not None:
-            profiler.disable()
-        if sampler is not None:
-            sampler.detach()
-        if profiler is None:
-            return None
-        os.makedirs(self.profile_dir, exist_ok=True)
-        path = profile_sidecar(self.profile_dir, spec.key())
-        profiler.dump_stats(path)
-        return path
-
-
-# ----------------------------------------------------------------------
-# Post-hoc: reconciliation, sweep report, Perfetto export, profiles
+# Post-hoc: reconciliation, sweep report
 # ----------------------------------------------------------------------
 def reconcile(events, manifest):
     """Cross-check a telemetry log against ``RunPool.manifest()``.
 
     Returns a list of problem strings; empty means the log and the
     manifest agree exactly: every manifest run appears in the log once
-    with the same disposition (cached vs finished), no terminal event
-    lacks a manifest row, and no heartbeat or start belongs to a spec
-    that never terminated (zero lost events)."""
+    with the same disposition (cached vs finished), and no terminal
+    event lacks a manifest row (zero lost events)."""
     problems = []
     log_terminal = {}
-    started = set()
-    sampled = set()
     for event in events:
-        type_ = event["type"]
-        if type_ in TERMINAL_TYPES:
-            key = event["spec_key"][:16]
-            log_terminal.setdefault(key, []).append(type_)
-        elif type_ == "run_started":
-            started.add(event["spec_key"][:16])
-        elif type_ == "heartbeat":
-            sampled.add(event["spec_key"][:16])
+        if event["type"] in TERMINAL_TYPES:
+            log_terminal.setdefault(event["spec_key"][:16], []).append(event["type"])
     manifest_by_key = {}
     for entry in manifest["runs"]:
         manifest_by_key.setdefault(entry["key"], []).append(
@@ -742,11 +365,6 @@ def reconcile(events, manifest):
         served = [t for t in log_terminal[key] if t != "run_failed"]
         if served:
             problems.append(f"spec {key}: in log ({served}) but not in manifest")
-    terminated = set(log_terminal)
-    for key in sorted(started - terminated):
-        problems.append(f"spec {key}: run_started but never terminated")
-    for key in sorted(sampled - terminated):
-        problems.append(f"spec {key}: heartbeats but never terminated")
     return problems
 
 
@@ -754,12 +372,10 @@ def sweep_report(events):
     """Post-hoc analysis of one telemetry log (``dsi-sim report``).
 
     Aggregates every sweep in the log: totals, cache-hit breakdown,
-    queue-wait vs execute time per run, per-worker utilization and
-    heartbeat statistics, and the top stragglers by wall time."""
+    queue-wait vs execute time per run, per-worker utilization, and the
+    top stragglers by wall time."""
     sweeps = {}
     runs = {}
-    heartbeats = 0
-    workers = {}
     for event in events:
         type_ = event["type"]
         sweep = event.get("sweep")
@@ -785,15 +401,14 @@ def sweep_report(events):
                 failed=event["failed"],
                 wall_s=event["wall_s"],
             )
-        elif type_ in ("run_queued", "run_started", "run_cached",
-                       "run_finished", "run_failed"):
+        else:
             run = runs.setdefault(
                 (sweep, event["spec_key"]),
                 {
                     "sweep": sweep,
                     "spec_key": event["spec_key"],
-                    "workload": event.get("workload"),
-                    "label": event.get("label"),
+                    "workload": event["workload"],
+                    "label": event["label"],
                     "queued_ts": None,
                     "started_ts": None,
                     "end_ts": None,
@@ -803,17 +418,10 @@ def sweep_report(events):
                     "exec_time": None,
                     "sim_cycles_per_s": None,
                     "profile": None,
-                    "heartbeats": 0,
                 },
             )
-            if event.get("workload"):
-                run["workload"] = event["workload"]
-                run["label"] = event.get("label", run["label"])
             if type_ == "run_queued":
                 run["queued_ts"] = event["ts"]
-            elif type_ == "run_started":
-                run["started_ts"] = event["ts"]
-                run["worker"] = event["worker"]
             else:
                 run["end_ts"] = event["ts"]
                 run["status"] = type_[len("run_"):]
@@ -821,18 +429,9 @@ def sweep_report(events):
                 run["exec_time"] = event.get("exec_time")
                 run["sim_cycles_per_s"] = event.get("sim_cycles_per_s")
                 run["profile"] = event.get("profile")
-        elif type_ == "heartbeat":
-            heartbeats += 1
-            run = runs.get((sweep, event["spec_key"]))
-            if run is not None:
-                run["heartbeats"] += 1
-            state = workers.setdefault(
-                event["worker"],
-                {"worker": event["worker"], "runs": 0, "busy_s": 0.0,
-                 "heartbeats": 0, "sim_cycles": 0},
-            )
-            state["heartbeats"] += 1
-            state["sim_cycles"] = max(state["sim_cycles"], event["sim_cycles"])
+                run["worker"] = event.get("worker")
+                run["started_ts"] = event.get("started")
+    workers = {}
     run_list = []
     for run in runs.values():
         if run["queued_ts"] is not None and run["started_ts"] is not None:
@@ -845,9 +444,7 @@ def sweep_report(events):
             run["execute_s"] = None
         if run["worker"] is not None:
             state = workers.setdefault(
-                run["worker"],
-                {"worker": run["worker"], "runs": 0, "busy_s": 0.0,
-                 "heartbeats": 0, "sim_cycles": 0},
+                run["worker"], {"worker": run["worker"], "runs": 0, "busy_s": 0.0}
             )
             state["runs"] += 1
             if run["wall_time_s"]:
@@ -876,7 +473,6 @@ def sweep_report(events):
             "failed": statuses.get("failed", 0),
             "unterminated": statuses.get(None, 0),
             "cache_hit_ratio": (statuses.get("cached", 0) / served) if served else None,
-            "heartbeats": heartbeats,
             "wall_s": wall,
             "jobs": lanes,
             "sim_cycles": sum(r["exec_time"] or 0 for r in run_list),
@@ -902,8 +498,7 @@ def format_report(report, top=10):
     lines = [
         f"sweeps: {len(report['sweeps'])}  runs: {totals['runs']} "
         f"({totals['executed']} executed, {totals['cached']} cached [{hit} hit], "
-        f"{totals['failed']} failed)  heartbeats: {totals['heartbeats']}  "
-        f"wall: {totals['wall_s']:.1f}s",
+        f"{totals['failed']} failed)  wall: {totals['wall_s']:.1f}s",
     ]
     waits = report["queue_wait"]
     if waits["mean_s"] is not None:
@@ -918,14 +513,13 @@ def format_report(report, top=10):
                 w["runs"],
                 f"{w['busy_s']:.1f}",
                 f"{w['utilization']:.0%}" if w["utilization"] is not None else "-",
-                w["heartbeats"],
             ]
             for w in report["workers"]
         ]
         lines.append("")
         lines.append(
             format_table(
-                ["worker", "runs", "busy_s", "util", "heartbeats"],
+                ["worker", "runs", "busy_s", "util"],
                 rows,
                 title="worker utilization (busy wall-seconds / sweep wall)",
             )
@@ -939,14 +533,13 @@ def format_report(report, top=10):
                 f"{r['wall_time_s']:.2f}",
                 f"{r['queue_wait_s'] * 1000:.0f}ms" if r["queue_wait_s"] is not None else "-",
                 r["worker"] if r["worker"] is not None else "-",
-                r["heartbeats"],
             ]
             for r in stragglers
         ]
         lines.append("")
         lines.append(
             format_table(
-                ["workload", "label", "wall_s", "queue_wait", "worker", "heartbeats"],
+                ["workload", "label", "wall_s", "queue_wait", "worker"],
                 rows,
                 title=f"top {len(stragglers)} stragglers (by wall time)",
             )
@@ -958,82 +551,6 @@ def format_report(report, top=10):
         for r in failed:
             lines.append(f"  {r['workload']}/{r['label']} (spec {r['spec_key'][:12]})")
     return "\n".join(lines)
-
-
-def sweep_to_perfetto(events):
-    """Render harness telemetry as a Chrome/Perfetto trace dict: one
-    lane per worker process (run slices + live sim-cycle counter track
-    from heartbeats), a queue lane (queued -> started wait slices) and a
-    cache lane (instant per hit), via the generic assembler in
-    :mod:`repro.obs.export` — so a sweep renders with exactly the lane
-    idiom the simulator traces use."""
-    from repro.obs.export import PID_HARNESS, spans_to_perfetto
-
-    report = sweep_report(events)
-    t0 = min((e["ts"] for e in events), default=0.0)
-
-    def us(ts):
-        return int((ts - t0) * 1e6)
-
-    worker_tid = {
-        w["worker"]: tid for tid, w in enumerate(report["workers"], start=2)
-    }
-    threads = [(PID_HARNESS, 0, "harness", "queue"), (PID_HARNESS, 1, "harness", "cache")]
-    for worker, tid in sorted(worker_tid.items(), key=lambda kv: kv[1]):
-        threads.append((PID_HARNESS, tid, "harness", f"worker {worker}"))
-    slices = []
-    instants = []
-    counters = []
-    for run in report["runs"]:
-        name = f"{run['workload']}/{run['label']}"
-        if run["status"] == "cached":
-            instants.append(("hit " + name, "cache", us(run["end_ts"]), PID_HARNESS, 1,
-                             {"spec_key": run["spec_key"][:16]}))
-            continue
-        if run["queue_wait_s"] is not None:
-            slices.append(
-                ("wait " + name, "queue", us(run["queued_ts"]),
-                 max(int(run["queue_wait_s"] * 1e6), 1), PID_HARNESS, 0,
-                 {"spec_key": run["spec_key"][:16]}),
-            )
-        if run["started_ts"] is None or run["end_ts"] is None:
-            continue
-        tid = worker_tid.get(run["worker"], 0)
-        slices.append(
-            (name, "run" if run["status"] == "finished" else "failed",
-             us(run["started_ts"]),
-             max(int((run["end_ts"] - run["started_ts"]) * 1e6), 1),
-             PID_HARNESS, tid,
-             {
-                 "spec_key": run["spec_key"][:16],
-                 "status": run["status"],
-                 "exec_time": run["exec_time"],
-                 "heartbeats": run["heartbeats"],
-             }),
-        )
-    for event in events:
-        if event["type"] != "heartbeat":
-            continue
-        tid = worker_tid.get(event["worker"])
-        if tid is None:
-            continue
-        counters.append(
-            ("sim_cycles", us(event["ts"]), PID_HARNESS, tid,
-             f"worker{event['worker']}", event["sim_cycles"]),
-        )
-    return spans_to_perfetto(
-        threads, slices, counters=counters, instants=instants,
-        other_data={
-            "tool": "dsi-sim report",
-            "runs": report["totals"]["runs"],
-            "heartbeats": report["totals"]["heartbeats"],
-        },
-    )
-
-
-def write_sweep_perfetto(events, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(sweep_to_perfetto(events), handle)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.obs.causal import (
 from repro.obs.export import (
     ascii_timeline,
     metrics_dict,
-    spans_to_perfetto,
     to_perfetto,
     write_metrics,
     write_perfetto,
@@ -68,7 +67,6 @@ __all__ = [
     "Histogram",
     "TimeSeries",
     "to_perfetto",
-    "spans_to_perfetto",
     "write_perfetto",
     "metrics_dict",
     "write_metrics",

@@ -16,12 +16,10 @@ import json
 from repro.obs.instrument import PROBE_TYPES
 from repro.obs.spans import LANE_DIR, LANE_NET, LANE_PROC
 
-#: Synthetic pids for the three lane groups (plus the harness lane the
-#: sweep-telemetry export uses, so harness spans render next to sim lanes).
+#: Synthetic pids for the three lane groups.
 PID_PROC = 1
 PID_DIR = 2
 PID_NET = 3
-PID_HARNESS = 4
 
 _LANE_PID = {LANE_PROC: PID_PROC, LANE_DIR: PID_DIR, LANE_NET: PID_NET}
 
@@ -189,71 +187,6 @@ def write_perfetto(instrument, path, max_instants=20_000):
     """Write ``path`` as Chrome trace-event JSON."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(to_perfetto(instrument, max_instants=max_instants), handle)
-
-
-def spans_to_perfetto(threads, slices, counters=(), instants=(), other_data=None):
-    """Assemble arbitrary spans into a Chrome trace-event dict.
-
-    The generic counterpart of :func:`to_perfetto` for producers that are
-    not an :class:`~repro.obs.instrument.Instrument` — the harness
-    telemetry export renders sweep worker lanes through this, with the
-    identical ``ph``/``ts``/``pid``/``tid`` schema CI validates.
-
-    ``threads``: ``(pid, tid, process_name, thread_name)`` rows (process
-    metadata is emitted once per distinct pid).
-    ``slices``: ``(name, category, ts, dur, pid, tid, args)`` complete
-    events; ``counters``: ``(name, ts, pid, tid, series, value)`` tracks;
-    ``instants``: ``(name, category, ts, pid, tid, args)`` markers.
-    """
-    events = []
-    seen_pids = set()
-    for pid, tid, process_name, thread_name in threads:
-        if pid not in seen_pids:
-            seen_pids.add(pid)
-            events.append(_meta(pid, None, process_name, "process_name"))
-        events.append(_meta(pid, tid, thread_name, "thread_name"))
-    for name, category, ts, dur, pid, tid, args in slices:
-        events.append(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "X",
-                "ts": ts,
-                "dur": max(dur, 1),
-                "pid": pid,
-                "tid": tid,
-                "args": {str(k): v for k, v in (args or {}).items()},
-            }
-        )
-    for name, ts, pid, tid, series, value in counters:
-        events.append(
-            {
-                "name": name,
-                "ph": "C",
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-                "id": tid,
-                "args": {series: value},
-            }
-        )
-    for name, category, ts, pid, tid, args in instants:
-        events.append(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "i",
-                "s": "t",
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-                "args": {str(k): v for k, v in (args or {}).items()},
-            }
-        )
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if other_data is not None:
-        payload["otherData"] = other_data
-    return payload
 
 
 # ----------------------------------------------------------------------

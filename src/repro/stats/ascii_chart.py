@@ -63,14 +63,6 @@ def stacked_bars(results, base=None, width=60, title=None):
     return "\n".join(lines)
 
 
-def progress_bar(fraction, width=20):
-    """A fixed-width ``[####----]`` progress cell for ``fraction`` in
-    [0, 1] (clamped); the harness live dashboard's building block."""
-    fraction = min(max(fraction, 0.0), 1.0)
-    filled = int(round(fraction * width))
-    return f"[{'#' * filled}{'-' * (width - filled)}]"
-
-
 def bar_chart(labels_values, width=50, title=None):
     """Simple horizontal bar chart for (label, value) pairs."""
     if not labels_values:

@@ -116,14 +116,14 @@ class Machine:
         sim.add_deadlock_hook(self.barrier.deadlock_diagnostic)
 
     def progress(self):
-        """Live progress counters for an in-flight run.
+        """Progress counters: simulated cycles, events fired, trace ops
+        retired and trace ops in total.
 
-        Read-only and safe to call from another thread while :meth:`run`
-        executes (plain int reads of monotone counters, no locking): the
-        harness heartbeat sampler (``repro.harness.telemetry``) polls
-        this to stream sim-cycle / event / retired-op counts without
-        perturbing the simulation.  ``ops_retired`` is the per-processor
-        trace index, advanced at quantum boundaries — a retirement proxy,
+        Read-only plain int reads, so it never perturbs the simulation.
+        A :meth:`~repro.harness.runspec.RunSpec.execute` observer reads
+        it after the run (the benchmark's run clock checks that every
+        trace op retired).  ``ops_retired`` is the per-processor trace
+        index, advanced at quantum boundaries — a retirement proxy,
         exact once the run quiesces.
         """
         return {

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import seg_addr, tiny_config
-from repro.stats.ascii_chart import GLYPHS, bar_chart, progress_bar, stacked_bar, stacked_bars
+from repro.stats.ascii_chart import GLYPHS, bar_chart, stacked_bar, stacked_bars
 from repro.stats.breakdown import CATEGORIES, Breakdown
 from repro.stats.counters import MessageCounters, MissCounters
 from repro.stats.report import RunResult
@@ -86,21 +86,6 @@ class TestBarChart:
     def test_zero_values(self):
         text = bar_chart([("a", 0)])
         assert "a" in text
-
-
-class TestProgressBar:
-    def test_fixed_width(self):
-        for fraction in (0.0, 0.33, 1.0):
-            assert len(progress_bar(fraction, width=20)) == 22  # + brackets
-
-    def test_endpoints(self):
-        assert progress_bar(0.0, width=8) == "[--------]"
-        assert progress_bar(1.0, width=8) == "[########]"
-        assert progress_bar(0.5, width=8) == "[####----]"
-
-    def test_clamps_out_of_range(self):
-        assert progress_bar(-0.5, width=4) == "[----]"
-        assert progress_bar(7.0, width=4) == "[####]"
 
 
 class TestOccupancyReporting:

@@ -1,5 +1,6 @@
-"""The harness observatory: event schema, sinks, heartbeats, failure
-drain, profiling sidecars, reporting, and cache neutrality."""
+"""The harness observatory: event schema, sinks, failure drain, the
+RunSpec observer hook, profiling sidecars, reporting, cache neutrality,
+and the CLI's refusal of harness flags where they do nothing."""
 
 import io
 import json
@@ -39,6 +40,11 @@ def _types(events):
     return [event["type"] for event in events]
 
 
+def _must_not_run(spec, observer=None):
+    """Stands in for ``runpool.execute_spec`` where no spec may run."""
+    raise AssertionError(f"{spec.describe()} ran")
+
+
 # ----------------------------------------------------------------------
 # Schema
 # ----------------------------------------------------------------------
@@ -70,19 +76,6 @@ class TestEventSchema:
         with pytest.raises(T.TelemetryError, match="schema"):
             T.validate_event(event)
 
-    def test_heartbeat_counters_must_be_non_negative_ints(self):
-        fields = dict(
-            sweep="s", spec_key="k", worker=1, sim_cycles=10,
-            events_fired=20, ops_retired=3, ops_total=8,
-        )
-        T.validate_event(T.make_event("heartbeat", **fields))
-        bad = dict(fields, sim_cycles=-1)
-        with pytest.raises(T.TelemetryError, match="sim_cycles"):
-            T.validate_event(T.make_event("heartbeat", **bad))
-        bad = dict(fields, ops_total=1.5)
-        with pytest.raises(T.TelemetryError, match="ops_total"):
-            T.validate_event(T.make_event("heartbeat", **bad))
-
     def test_every_type_has_common_fields(self):
         for type_ in T.EVENT_FIELDS:
             assert "ts" in T.COMMON_FIELDS
@@ -96,8 +89,7 @@ class TestEventSchema:
                 "sweep_begin", sweep="s", specs=2, pending=1, jobs=1, fingerprint="f" * 16
             ),
             T.make_event(
-                "heartbeat", sweep="s", spec_key="k", worker=7,
-                sim_cycles=100, events_fired=200, ops_retired=5, ops_total=10,
+                "run_queued", sweep="s", spec_key="k", workload="w", label="SC"
             ),
             T.make_event(
                 "sweep_end", sweep="s", executed=1, cache_hits=1, failed=0, wall_s=0.5
@@ -129,7 +121,7 @@ class TestSweepLog:
         pool = RunPool(
             jobs=jobs,
             cache_dir=str(tmp_path / "cache") if cache else None,
-            telemetry=T.TelemetryConfig(log_path=log, heartbeat_interval=0.01),
+            telemetry=T.TelemetryConfig(log_path=log),
         )
         try:
             records = pool.run_batch(specs)
@@ -144,12 +136,17 @@ class TestSweepLog:
         assert types[0] == "sweep_begin" and types[-1] == "sweep_end"
         assert types.count("run_finished") == len(records)
         assert types.count("run_queued") == len(records)
-        assert types.count("run_started") == len(records)
+        for event in events:
+            if event["type"] == "run_finished":
+                assert event["worker"] == os.getpid()  # serial: in-process
+                assert event["started"] <= event["ts"]
 
     def test_parallel_sweep_reconciles_with_manifest(self, tmp_path):
         pool, records, events = self._run(tmp_path, jobs=4)
         assert T.reconcile(events, pool.manifest()) == []
         assert _types(events).count("run_finished") == len(records)
+        workers = {e["worker"] for e in events if e["type"] == "run_finished"}
+        assert workers and os.getpid() not in workers  # pids of pool workers
         # seq is a total order stamped by the hub
         seqs = [event["seq"] for event in events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
@@ -161,7 +158,7 @@ class TestSweepLog:
         warm = RunPool(
             jobs=1,
             cache_dir=str(tmp_path / "cache"),
-            telemetry=T.TelemetryConfig(log_path=warm_log, heartbeat_interval=0.01),
+            telemetry=T.TelemetryConfig(log_path=warm_log),
         )
         try:
             warm.run_batch(specs)
@@ -171,8 +168,7 @@ class TestSweepLog:
         types = _types(events)
         assert warm.cache_hits == len(specs)
         assert types.count("run_cached") == len(specs)
-        assert types.count("run_started") == 0
-        assert types.count("heartbeat") == 0  # cached hits never run a sampler
+        assert types.count("run_finished") == 0  # cached hits never run a spec
         assert T.reconcile(events, warm.manifest()) == []
         begin = events[0]
         assert begin["type"] == "sweep_begin"
@@ -257,74 +253,45 @@ class TestFailureDrain:
 
 
 # ----------------------------------------------------------------------
-# Heartbeats
+# The RunSpec.execute observer hook (the benchmark's run clock uses it)
 # ----------------------------------------------------------------------
-class TestHeartbeats:
-    def test_sampler_reads_live_machine_counters(self):
+class _RecordingObserver:
+    """Notes each hook call with the machine's progress at that moment."""
+
+    def __init__(self):
+        self.calls = []
+        self.machine = None
+
+    def attach(self, machine):
+        self.machine = machine
+        self.calls.append(("attach", machine.progress()))
+
+    def detach(self):
+        self.calls.append(("detach", self.machine.progress()))
+
+
+class TestObserverHook:
+    def test_execute_brackets_the_run_with_attach_and_detach(self, monkeypatch):
         from repro.system import Machine
 
         spec = _specs(1)[0]
-        machine = Machine(spec.config, spec.build_program())
-        emitted = []
-        sampler = T.HeartbeatSampler(emitted.append, spec.key(), worker=7, interval=0)
-        sampler.attach(machine)  # interval 0: no thread, sample() drives it
-        before = sampler.sample()
-        machine.run()
-        after = sampler.sample()
-        sampler.detach()
-        for event in (before, after):
-            T.validate_event(dict(event, sweep="s", seq=0))
-            assert event["worker"] == 7
+        program = spec.build_program()
+        observer = _RecordingObserver()
+        record = spec.execute(program, observer=observer)
+        (first, before), (second, after) = observer.calls
+        assert (first, second) == ("attach", "detach")
         assert before["sim_cycles"] == 0 and before["ops_retired"] == 0
-        assert after["sim_cycles"] > 0
-        assert after["ops_retired"] == after["ops_total"]  # quiesced: exact
-        assert after["events_fired"] > before["events_fired"]
+        assert after["ops_retired"] == after["ops_total"] > 0
+        assert record == spec.execute(program)  # observing changes nothing
 
-    def test_sampler_thread_emits_during_run(self):
-        from repro.system import Machine
+        def run_dies(machine):
+            raise RuntimeError("run died")
 
-        spec = _specs(1)[0]
-        machine = Machine(spec.config, spec.build_program())
-        emitted = []
-        sampler = T.HeartbeatSampler(
-            emitted.append, spec.key(), worker=1, interval=0.001
-        )
-        sampler.attach(machine)
-        machine.run()
-        # the machine is quiesced; give the thread a beat then stop it
-        import time as _time
-
-        deadline = _time.monotonic() + 2.0
-        while not emitted and _time.monotonic() < deadline:
-            _time.sleep(0.002)
-        sampler.detach()
-        assert emitted, "sampler thread never fired at a 1ms interval"
-        assert all(event["type"] == "heartbeat" for event in emitted)
-
-    def test_detach_is_idempotent(self):
-        sampler = T.HeartbeatSampler(lambda e: None, "k", worker=1, interval=0)
-        sampler.detach()
-        sampler.detach()
-
-    def test_zero_length_run_emits_no_heartbeats(self, tmp_path):
-        # A trivial single-op program finishes far inside one heartbeat
-        # interval: no heartbeats, but run_started/run_finished intact.
-        spec = RunSpec.create(
-            "write_conflict", SystemConfig(n_processors=2, quantum=1),
-            n_procs=2, conflict=False, rounds=1,
-        )
-        log = str(tmp_path / "tiny.jsonl")
-        pool = RunPool(
-            jobs=1, telemetry=T.TelemetryConfig(log_path=log, heartbeat_interval=30.0)
-        )
-        try:
-            pool.run(spec)
-        finally:
-            pool.close()
-        types = _types(T.load_log(log))
-        assert types.count("heartbeat") == 0
-        assert types.count("run_started") == 1
-        assert types.count("run_finished") == 1
+        monkeypatch.setattr(Machine, "run", run_dies)
+        failing = _RecordingObserver()
+        with pytest.raises(RuntimeError, match="run died"):
+            spec.execute(program, observer=failing)
+        assert [name for name, _progress in failing.calls] == ["attach", "detach"]
 
     def test_machine_progress_shape(self):
         from repro.system import Machine
@@ -353,7 +320,6 @@ class TestTelemetryNeutrality:
                 log_path=str(tmp_path / "log.jsonl"),
                 profile="cprofile",
                 profile_dir=str(tmp_path / "prof"),
-                heartbeat_interval=0.001,
             ),
         )
         try:
@@ -437,66 +403,6 @@ class TestVerboseSink:
 
 
 # ----------------------------------------------------------------------
-# Live dashboard (pure render; no tty needed)
-# ----------------------------------------------------------------------
-class TestLiveDashboard:
-    def _feed(self, dash, events):
-        for event in events:
-            dash.handle(event)
-
-    def test_render_tracks_sweep_state(self):
-        dash = T.LiveDashboard(stream=io.StringIO(), interval=0, clock=lambda: 100.0)
-        hb = dict(sweep="s", spec_key="k1", worker=11, sim_cycles=500,
-                  events_fired=900, ops_retired=5, ops_total=10)
-        self._feed(dash, [
-            dict(T.make_event("sweep_begin", sweep="s", specs=3, pending=2, jobs=2,
-                              fingerprint="f" * 16), ts=0.0),
-            dict(T.make_event("run_cached", sweep="s", spec_key="k0", workload="w",
-                              label="SC", cache_kb=16, net=100, exec_time=10,
-                              wall_time_s=0.1), ts=0.5),
-            dict(T.make_event("run_started", sweep="s", spec_key="k1", workload="w",
-                              label="SC+DSI(V)", worker=11), ts=1.0),
-            dict(T.make_event("heartbeat", **hb), ts=2.0),
-            dict(T.make_event("heartbeat", **dict(hb, sim_cycles=1500)), ts=3.0),
-        ])
-        frame = dash.render(now=4.0)
-        assert "1/3" in frame          # one of three specs done (the cached one)
-        assert "1 running" in frame
-        assert "1 cached" in frame
-        assert "w/SC+DSI(V)" in frame  # the worker lane names its run
-        assert "1k cyc/s" in frame     # (1500-500)/(3-2) = 1000 cycles/s
-        assert dash.workers[11]["rate"] == pytest.approx(1000.0)
-
-    def test_eta_and_straggler_flagging(self):
-        dash = T.LiveDashboard(stream=io.StringIO(), interval=0, clock=lambda: 50.0)
-        dash.total = 10
-        dash.jobs = 2
-        dash.finished = 4
-        dash.wall_times = [1.0, 1.0, 1.0, 1.0]
-        assert dash.eta_seconds(now=50.0) == pytest.approx(6 * 1.0 / 2)
-        assert dash.is_straggler(started_ts=49.5, now=50.0) is False
-        assert dash.is_straggler(started_ts=40.0, now=50.0) is True  # 10s >> 2.5x mean
-
-    def test_non_tty_prints_plain_progress(self, tmp_path):
-        stream = io.StringIO()
-        pool = RunPool(
-            jobs=1,
-            telemetry=T.TelemetryConfig(live=True, stream=stream),
-        )
-        try:
-            pool.run(_specs(1)[0])
-        finally:
-            pool.close()
-        lines = stream.getvalue().splitlines()
-        assert lines and all(line.startswith("# sweep") for line in lines)
-        assert any("1/1 done" in line for line in lines)
-
-    def test_render_handles_empty_state(self):
-        dash = T.LiveDashboard(stream=io.StringIO(), clock=lambda: 0.0)
-        assert "0/0" in dash.render(now=0.0)
-
-
-# ----------------------------------------------------------------------
 # Profiling sidecars
 # ----------------------------------------------------------------------
 class TestProfiling:
@@ -552,7 +458,7 @@ class TestProfiling:
 
 
 # ----------------------------------------------------------------------
-# Post-hoc report + Perfetto export
+# Post-hoc report
 # ----------------------------------------------------------------------
 class TestSweepReport:
     def _events(self, tmp_path, jobs=2):
@@ -561,7 +467,7 @@ class TestSweepReport:
         pool = RunPool(
             jobs=jobs,
             cache_dir=str(tmp_path / "cache"),
-            telemetry=T.TelemetryConfig(log_path=log, heartbeat_interval=0.005),
+            telemetry=T.TelemetryConfig(log_path=log),
         )
         try:
             pool.run_batch(specs)
@@ -596,28 +502,6 @@ class TestSweepReport:
         assert "stragglers" in text
         assert "50% hit" in text
 
-    def test_perfetto_export_schema(self, tmp_path):
-        events, _pool = self._events(tmp_path)
-        trace = T.sweep_to_perfetto(events)
-        assert set(trace) >= {"traceEvents", "displayTimeUnit"}
-        for event in trace["traceEvents"]:
-            assert {"ph", "ts", "pid", "tid"} <= set(event)
-            assert event["pid"] == 4  # PID_HARNESS
-            if event["ph"] == "X":
-                assert event["dur"] >= 1
-        names = {
-            e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert "queue" in names and "cache" in names
-        assert any(name.startswith("worker ") for name in names)
-        # run slices land on worker lanes; cached hits are instants
-        assert any(e["ph"] == "i" for e in trace["traceEvents"])
-        out = tmp_path / "trace.json"
-        T.write_sweep_perfetto(events, str(out))
-        assert json.loads(out.read_text())["traceEvents"]
-
     def test_reconcile_flags_lost_events(self, tmp_path):
         events, pool = self._events(tmp_path, jobs=1)
         manifest = pool.manifest()
@@ -626,13 +510,6 @@ class TestSweepReport:
         remaining = [e for e in events if e is not dropped]
         problems = T.reconcile(remaining, manifest)
         assert problems and dropped["spec_key"][:16] in " ".join(problems)
-        # and an orphan heartbeat (spec never terminated) is flagged too
-        orphan = T.make_event(
-            "heartbeat", sweep="s", spec_key="orphan" * 11, worker=1,
-            sim_cycles=1, events_fired=1, ops_retired=0, ops_total=1,
-        )
-        problems = T.reconcile(events + [dict(orphan, seq=10_000)], manifest)
-        assert any("never terminated" in p for p in problems)
 
 
 class TestHub:
@@ -670,31 +547,114 @@ class TestCli:
         assert cli.main(["report", log]) == 0
         out = capsys.readouterr().out
         assert "worker utilization" in out
+        # The harness sweep has no Perfetto export: refused, nothing written.
         trace_path = str(tmp_path / "harness-trace.json")
-        assert cli.main(["report", log, "--json", "--perfetto", trace_path]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["totals"]["runs"] >= 1
-        assert os.path.exists(trace_path)
+        assert cli.main(["report", log, "--json", "--perfetto", trace_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "report: --perfetto" in captured.err
+        assert not os.path.exists(trace_path)
 
-    def test_run_verb_telemetry_and_profile(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(
+                ["why", "em3d", "--quick", "--procs", "4", "--log", "LOG"], "--log",
+                id="why-log",
+            ),
+            pytest.param(
+                ["run", "--workload", "em3d", "--quick", "--procs", "4",
+                 "--log", "LOG"], "--log",
+                id="run-log",
+            ),
+            pytest.param(
+                ["run", "--workload", "em3d", "--quick", "--procs", "4",
+                 "--profile", "cprofile"], "--profile",
+                id="run-profile",
+            ),
+            pytest.param(
+                ["trace", "em3d", "--quick", "--procs", "4", "--profile",
+                 "cprofile", "--profile-dir", "DIR"], "--profile",
+                id="trace-profile",
+            ),
+            pytest.param(
+                ["analyze", "migratory", "--procs", "4", "--log", "LOG"], "--log",
+                id="analyze-log",
+            ),
+            pytest.param(
+                ["describe", "--workload", "em3d", "--log", "LOG"], "--log",
+                id="describe-log",
+            ),
+            pytest.param(
+                ["gen", "--workload", "em3d", "-o", "OUT", "--log", "LOG"], "--log",
+                id="gen-log",
+            ),
+            pytest.param(["check-protocol", "--log", "LOG"], "--log", id="check-log"),
+            pytest.param(
+                ["report", "LOG", "--profile", "cprofile"], "--profile",
+                id="report-profile",
+            ),
+            pytest.param(["list", "--log", "LOG"], "--log", id="list-log"),
+            pytest.param(
+                ["figure2", "--quick", "--profile-dir", "DIR"], "--profile-dir",
+                id="profile-dir-without-profile",
+            ),
+            pytest.param(
+                ["report", "LOG", "--perfetto", "OUT"], "--perfetto",
+                id="report-perfetto",
+            ),
+        ],
+    )
+    def test_harness_flags_refused_where_they_do_nothing(
+        self, argv, flag, tmp_path, capsys
+    ):
         from repro.harness import cli
 
-        log = str(tmp_path / "run.jsonl")
-        profile_dir = str(tmp_path / "prof")
-        assert cli.main([
-            "run", "--workload", "producer_consumer", "--procs", "4", "--quick",
-            "--json", "--log", log, "--profile", "cprofile",
-            "--profile-dir", profile_dir,
-        ]) == 0
-        capsys.readouterr()
-        events = T.load_log(log)
-        types = _types(events)
-        for expected in ("sweep_begin", "run_queued", "run_started",
-                         "run_finished", "sweep_end"):
-            assert types.count(expected) == 1, expected
-        finished = next(e for e in events if e["type"] == "run_finished")
-        assert finished["profile"] and os.path.exists(finished["profile"])
-        assert finished["workload"] == "producer_consumer"
+        paths = {
+            "LOG": tmp_path / "x.jsonl",
+            "DIR": tmp_path / "prof",
+            "OUT": tmp_path / "out",
+        }
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{argv[0]}: {flag} ")
+        assert not any(path.exists() for path in paths.values())
+
+    def test_unwritable_log_fails_before_any_spec_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.harness import cli
+
+        monkeypatch.setattr(runpool_mod, "execute_spec", _must_not_run)
+        log = str(tmp_path / "missing" / "x.jsonl")
+        argv = ["figure5", "--quick", "--procs", "4", "--jobs", "1", "--log", log]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"figure5: cannot write telemetry log {log}: ")
+
+    def test_unwritable_profile_dir_fails_before_any_spec_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.harness import cli
+
+        monkeypatch.setattr(runpool_mod, "execute_spec", _must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        profile_dir = str(blocker / "profiles")  # a directory under a file
+        argv = [
+            "figure5", "--quick", "--procs", "4", "--jobs", "2",
+            "--profile", "cprofile", "--profile-dir", profile_dir,
+        ]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"figure5: cannot create profile directory {profile_dir}: ")
 
     def test_report_rejects_missing_and_empty_logs(self, tmp_path, capsys):
         from repro.harness import cli
