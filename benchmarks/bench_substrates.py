@@ -50,6 +50,37 @@ def test_resource_pipeline(benchmark):
     assert benchmark(run) == 5_000
 
 
+def test_message_hop_rate(benchmark):
+    """One remote hop: ``Network.send``, NI injection, transit, delivery,
+    and a sink whose ``receive`` queues the message behind a controller
+    ``Resource``, as ``DirectoryController.receive`` does."""
+
+    class Sink:
+        def __init__(self, sim):
+            self.resource = Resource(sim, "dir")
+            self.processed = 0
+
+        def receive(self, msg):
+            self.resource.submit(10, self._process, msg)
+
+        def _process(self, msg):
+            self.processed += 1
+
+    def run():
+        sim = Simulator()
+        config = SystemConfig(n_processors=4)
+        network = Network(sim, config)
+        sinks = [Sink(sim) for _ in range(4)]
+        for node, sink in enumerate(sinks):
+            network.attach(node, sink, sink)
+        for i in range(20_000):
+            network.send(Message(MsgKind.GETS, i, i % 4, (i + 1) % 4))
+        sim.run()
+        return sum(sink.processed for sink in sinks)
+
+    assert benchmark(run) == 20_000
+
+
 def test_cache_hit_rate(benchmark):
     config = SystemConfig(cache_size=64 * KB)
     cache = Cache(config, node=0)

@@ -254,6 +254,10 @@ class DirectoryController:
         self.policy = policy
         self.obs = instrument
         self.resource = Resource(sim, name=f"dir{node}")
+        # Prebound for the per-message occupancy (``receive``).
+        self._submit = self.resource.submit
+        self._dir_cycles = config.dir_ctrl_cycles
+        self._on_message = self._process
         self.entries = {}
         self.stale_messages = 0
         self._wc = config.consistency is Consistency.WC
@@ -270,13 +274,6 @@ class DirectoryController:
     # ------------------------------------------------------------------
     # Entry management
     # ------------------------------------------------------------------
-    def entry_for(self, block):
-        entry = self.entries.get(block)
-        if entry is None:
-            entry = DirEntry()
-            self.entries[block] = entry
-        return entry
-
     def symbolic_state(self, block):
         """Symbolic protocol state of ``block``'s entry."""
         entry = self.entries.get(block)
@@ -297,26 +294,12 @@ class DirectoryController:
             return S.B_WRITE
         return _STATES[entry.state]
 
-    @staticmethod
-    def _derive_state_idx(entry):
-        """Integer form of :meth:`_derive_state` for the hot path."""
-        if entry.busy:
-            txn = entry.txn
-            if txn.waiting_wb:
-                return _ST_B_WB
-            if txn.wc_parallel:
-                return _ST_B_WCP
-            if txn.kind == "read":
-                return _ST_B_READ
-            return _ST_B_WRITE
-        return _STABLE_IDX[entry.state]
-
     # ------------------------------------------------------------------
     # Message intake and table dispatch
     # ------------------------------------------------------------------
     def receive(self, msg):
         """Entry point from the network: queue behind the controller."""
-        self.resource.submit(self.config.dir_ctrl_cycles, self._process, msg)
+        self._submit(self._dir_cycles, self._on_message, msg)
 
     def _process(self, msg):
         event = _MSG_EVENTS[msg.kind]
@@ -324,12 +307,31 @@ class DirectoryController:
             raise ProtocolError(
                 f"directory {self.node} received unexpected {msg!r}"
             )
-        self._dispatch(event, _Ctx(self, self.entry_for(msg.block), msg))
+        block = msg.block
+        entry = self.entries.get(block)
+        if entry is None:
+            entry = self.entries[block] = DirEntry()
+        self._dispatch(event, _Ctx(self, entry, msg))
 
     def _dispatch(self, event, ctx, state=-1):
-        """Derive the state index, pick the compiled row, run its actions."""
+        """Derive the state index, pick the compiled row, run its actions.
+
+        A negative ``state`` is derived here, as :meth:`_derive_state`
+        does."""
         if state < 0:
-            state = self._derive_state_idx(ctx.entry)
+            entry = ctx.entry
+            if entry.busy:
+                txn = entry.txn
+                if txn.waiting_wb:
+                    state = _ST_B_WB
+                elif txn.wc_parallel:
+                    state = _ST_B_WCP
+                elif txn.kind == "read":
+                    state = _ST_B_READ
+                else:
+                    state = _ST_B_WRITE
+            else:
+                state = _STABLE_IDX[entry.state]
         row = self._decide(state, event, ctx)
         if self.obs is not None:
             if row.txn_kind is not None:
@@ -406,11 +408,11 @@ class DirectoryController:
         entry, txn = ctx.entry, ctx.txn
         txn.pending_inv.add(entry.owner)
         txn.inv_sent_at = self.sim.now
-        self._send_inv(ctx.msg.block, entry.owner, txn=ctx.msg.txn_id)
+        self._send_inv(ctx.msg.block, entry.owner, ctx.msg.txn_id)
 
     def _act_inv_sharers(self, ctx):
         for target in ctx.targets:
-            self._send_inv(ctx.msg.block, target, txn=ctx.msg.txn_id)
+            self._send_inv(ctx.msg.block, target, ctx.msg.txn_id)
 
     def _act_grant_read_tearoff(self, ctx):
         self._grant_read(ctx.entry, ctx.msg, ctx.decision, ctx.inval_wait)
@@ -469,8 +471,7 @@ class DirectoryController:
     def _act_send_ack_done(self, ctx):
         txn = ctx.txn
         self.network.send(
-            Message(MsgKind.ACK_DONE, txn.msg.block, src=self.node,
-                    dst=txn.msg.src, txn_id=txn.msg.txn_id)
+            Message(MsgKind.ACK_DONE, txn.msg.block, self.node, txn.msg.src, txn.msg.txn_id)
         )
         if self.obs is not None:
             self.obs.dir_txn_end(self.node, txn.msg.block)
@@ -669,19 +670,12 @@ class DirectoryController:
                 entry.shared_si = False
             if decision.si and self._states_scheme:
                 entry.shared_si = True  # enter Shared_SI
+        # kind, block, src, dst, txn_id, version, data, carries_data, si,
+        # tearoff, inval_wait
         self.network.send(
             Message(
-                MsgKind.DATA,
-                msg.block,
-                src=self.node,
-                dst=requester,
-                version=entry.version,
-                si=decision.si,
-                tearoff=tearoff,
-                inval_wait=inval_wait,
-                data=entry.data,
-                carries_data=True,
-                txn_id=msg.txn_id,
+                MsgKind.DATA, msg.block, self.node, requester, msg.txn_id,
+                entry.version, entry.data, True, decision.si, tearoff, inval_wait,
             )
         )
         if self.obs is not None:
@@ -701,19 +695,13 @@ class DirectoryController:
         entry.idle_flavor = FLAVOR_PLAIN
         entry.last_writer = requester
         kind = MsgKind.UPGRADE_ACK if upgrade_grant else MsgKind.DATA_EX
+        # kind, block, src, dst, txn_id, version, data, carries_data, si,
+        # tearoff, inval_wait, acks_pending
         self.network.send(
             Message(
-                kind,
-                msg.block,
-                src=self.node,
-                dst=requester,
-                version=entry.version,
-                si=decision.si,
-                inval_wait=inval_wait,
-                data=entry.data,
-                acks_pending=acks_pending,
-                carries_data=kind is MsgKind.DATA_EX,
-                txn_id=msg.txn_id,
+                kind, msg.block, self.node, requester, msg.txn_id, entry.version,
+                entry.data, kind is MsgKind.DATA_EX, decision.si, False, inval_wait,
+                acks_pending,
             )
         )
         if self.obs is not None:
@@ -728,9 +716,7 @@ class DirectoryController:
     def _send_inv(self, block, target, txn=None):
         if self.obs is not None:
             self.obs.inv_sent(self.node, block, target, txn_id=txn)
-        self.network.send(
-            Message(MsgKind.INV, block, src=self.node, dst=target, txn_id=txn)
-        )
+        self.network.send(Message(MsgKind.INV, block, self.node, target, txn))
 
     def _drain_deferred(self, entry):
         while entry.deferred and not entry.busy:

@@ -27,7 +27,7 @@ class Resource:
 
     __slots__ = (
         "sim", "name", "busy", "_queue", "busy_cycles", "jobs", "wait_cycles",
-        "_free_at", "depth_probe", "_schedule",
+        "depth_probe", "_schedule", "_on_finish",
     )
 
     def __init__(self, sim, name="", depth_probe=None):
@@ -38,9 +38,10 @@ class Resource:
         self.busy_cycles = 0
         self.jobs = 0
         self.wait_cycles = 0
-        self._free_at = 0
         self.depth_probe = depth_probe
-        self._schedule = sim.schedule  # prebound: hottest call in submit
+        # Prebound: every job schedules one completion.
+        self._schedule = sim.schedule
+        self._on_finish = self._finish
 
     def submit(self, duration, callback, *args):
         """Run a job of ``duration`` cycles; fire ``callback(*args)`` on completion."""
@@ -49,27 +50,23 @@ class Resource:
             if self.depth_probe is not None:
                 self.depth_probe(len(self._queue))
         else:
-            # Inlined _start for the uncontended case (wait time is zero).
             self.busy = True
             self.jobs += 1
             self.busy_cycles += duration
-            self._free_at = self.sim.now + duration
-            self._schedule(duration, self._finish, callback, args)
-
-    def _start(self, submitted_at, duration, callback, args):
-        self.busy = True
-        self.jobs += 1
-        self.busy_cycles += duration
-        self.wait_cycles += self.sim.now - submitted_at
-        self._free_at = self.sim.now + duration
-        self._schedule(duration, self._finish, callback, args)
+            self._schedule(duration, self._on_finish, callback, args)
 
     def _finish(self, callback, args):
-        if self._queue:
-            next_submitted, next_duration, next_callback, next_args = self._queue.popleft()
+        """Complete the job in service, start the next queued one, then
+        fire the completed job's callback."""
+        queue = self._queue
+        if queue:
+            submitted, duration, next_callback, next_args = queue.popleft()
             if self.depth_probe is not None:
-                self.depth_probe(len(self._queue))
-            self._start(next_submitted, next_duration, next_callback, next_args)
+                self.depth_probe(len(queue))
+            self.jobs += 1
+            self.busy_cycles += duration
+            self.wait_cycles += self.sim.now - submitted
+            self._schedule(duration, self._on_finish, next_callback, next_args)
         else:
             self.busy = False
         callback(*args)

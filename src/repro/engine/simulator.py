@@ -101,7 +101,9 @@ class Simulator:
     def run(self, until=None):
         """Run until the queue drains (or past ``until`` cycles).
 
-        Returns the final simulated time.  Raises
+        Returns the final simulated time.  An ``until`` earlier than
+        :attr:`now` raises :class:`~repro.errors.SimulationError`, as
+        :meth:`at` does for a past time; the clock never moves back.  Raises
         :class:`~repro.errors.DeadlockError` if the queue drains while a
         registered deadlock hook reports outstanding work.
 
@@ -113,6 +115,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until the past ({until} < {self.now})")
         self._running = True
         fired_at_entry = self.events_fired
         times = self._times

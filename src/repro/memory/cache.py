@@ -202,34 +202,32 @@ class Cache:
         Returns ``(None, None)`` if every frame in the set is pinned by an
         outstanding transaction (the caller must retry later).
         """
-        frames = self.sets[block % self.n_sets]
-        target = None
-        # Prefer the frame already holding this tag (keeps history compact),
-        # then any invalid frame, then the LRU unpinned frame.
-        for frame in frames:
+        # One pass picks the frame already holding this tag (keeps history
+        # compact), else the LRU invalid unpinned frame (no eviction; among
+        # several, the least recently used, because recently invalidated
+        # frames keep their tag+version history alive for the
+        # version-number scheme), else the LRU unpinned frame.
+        target = invalid = oldest = None
+        for frame in self.sets[block % self.n_sets]:
             if frame.tag == block:
                 target = frame
                 break
+            if frame.pinned:
+                continue
+            if not frame.valid:
+                if invalid is None or frame.lru < invalid.lru:
+                    invalid = frame
+            elif oldest is None or frame.lru < oldest.lru:
+                oldest = frame
         if target is None:
-            # Prefer an invalid frame (no eviction needed); among several,
-            # the least-recently-used one — recently invalidated frames keep
-            # their tag+version history alive for the version-number scheme.
-            invalid = [f for f in frames if not f.valid and not f.pinned]
-            if invalid:
-                target = min(invalid, key=lambda f: f.lru)
-        victim = None
-        if target is None:
-            candidates = [f for f in frames if not f.pinned]
-            if not candidates:
+            target = invalid if invalid is not None else oldest
+            if target is None:
                 return None, None
-            target = min(candidates, key=lambda f: f.lru)
-            if target.valid:
-                victim = Victim(target)
-        elif target.valid:
+        victim = None
+        if target.valid:
             if target.tag == block:
                 raise SimulationError(f"fill of block {block} already valid in cache {self.node}")
             victim = Victim(target)
-        if target.valid:
             self._drop_si(target)
             del self.valid_map[target.tag]
         target.tag = block

@@ -131,37 +131,39 @@ class Message:
         block,
         src,
         dst,
+        txn_id=None,
         version=None,
+        data=0,
+        carries_data=False,
         si=False,
         tearoff=False,
         inval_wait=0,
-        data=0,
         acks_pending=False,
-        si_marked=False,
         dirty=False,
-        carries_data=False,
+        si_marked=False,
         wts=0,
         rts=0,
         ts=None,
-        txn_id=None,
     ):
+        # Parameter order puts what the hot senders pass first, so each
+        # builds its message from a short positional prefix.
         self.kind = kind
         self.block = block
         self.src = src
         self.dst = dst
+        self.txn_id = txn_id
         self.version = version
+        self.data = data
+        self.carries_data = carries_data
         self.si = si
         self.tearoff = tearoff
         self.inval_wait = inval_wait
-        self.data = data
         self.acks_pending = acks_pending
-        self.si_marked = si_marked
         self.dirty = dirty
-        self.carries_data = carries_data
+        self.si_marked = si_marked
         self.wts = wts
         self.rts = rts
         self.ts = ts
-        self.txn_id = txn_id
 
     def __repr__(self):
         flags = []

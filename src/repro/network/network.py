@@ -33,7 +33,8 @@ class Network:
         self.obs = instrument
         self._local_latency = config.local_latency
         self._inject_cycles = config.inject_cycles
-        self._inject_data_cycles = config.inject_data_cycles
+        # injection cost of a message that carries a cache block
+        self._inject_block_cycles = config.inject_cycles + config.inject_data_cycles
         self._network_latency = config.network_latency
         self.interfaces = [
             Resource(sim, name=f"ni{i}", depth_probe=self._ni_probe(i))
@@ -42,7 +43,11 @@ class Network:
         # Delivery sinks, wired by the System after construction.
         self.cache_sinks = [None] * config.n_processors
         self.dir_sinks = [None] * config.n_processors
-        self.in_flight = 0
+        # Prebound per-hop callables: every message takes two or three.
+        self._schedule = sim.schedule
+        self._inject = [ni.submit for ni in self.interfaces]
+        self._on_injected = self._injected
+        self._on_deliver = self._deliver
 
     def _ni_probe(self, node):
         """Injection-queue depth probe for one interface (None when no
@@ -65,23 +70,21 @@ class Network:
         self-invalidation must stall (§4.2: "messages are injected as
         rapidly as the network can accept them").
         """
-        is_network = msg.src != msg.dst
+        src = msg.src
+        is_network = src != msg.dst
         self.counters.count(_KIND_NAMES[msg.kind], is_network, msg.carries_data)
         if self.obs is not None:
             self.obs.message_send(msg, is_network)
-        self.in_flight += 1
         if not is_network:
-            self.sim.schedule(self._local_latency, self._deliver, msg)
+            self._schedule(self._local_latency, self._on_deliver, msg)
             if on_injected is not None:
                 on_injected()
             return
-        cost = self._inject_cycles
-        if msg.carries_data:
-            cost += self._inject_data_cycles
-        self.interfaces[msg.src].submit(cost, self._injected, msg, on_injected)
+        cost = self._inject_block_cycles if msg.carries_data else self._inject_cycles
+        self._inject[src](cost, self._on_injected, msg, on_injected)
 
     def _injected(self, msg, on_injected):
-        self.sim.schedule(self.latency(msg.src, msg.dst), self._deliver, msg)
+        self._schedule(self.latency(msg.src, msg.dst), self._on_deliver, msg)
         if on_injected is not None:
             on_injected()
 
@@ -90,14 +93,9 @@ class Network:
         return self._network_latency
 
     def _deliver(self, msg):
-        self.in_flight -= 1
         if self.obs is not None:
             self.obs.message_receive(msg, msg.src != msg.dst)
-        sinks = self.dir_sinks if _IS_DIR_BOUND[msg.kind] else self.cache_sinks
-        sinks[msg.dst].receive(msg)
-
-    # ------------------------------------------------------------------
-    def deadlock_diagnostic(self):
-        if self.in_flight:
-            return f"{self.in_flight} message(s) still in flight"
-        return None
+        if _IS_DIR_BOUND[msg.kind]:
+            self.dir_sinks[msg.dst].receive(msg)
+        else:
+            self.cache_sinks[msg.dst].receive(msg)

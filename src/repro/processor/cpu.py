@@ -143,7 +143,9 @@ class Processor:
             kind = kinds[p]
             if kind == OP_READ:
                 block = blocks[p]
-                if ctrl.try_read(block):
+                # With direct execution on, ``fast.advance`` has just found
+                # this load missing: no second probe.
+                if fast is None and ctrl.try_read(block):
                     breakdown.compute += hit_cycles
                     elapsed += hit_cycles
                     idx += 1

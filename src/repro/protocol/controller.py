@@ -148,16 +148,17 @@ class _Ctx:
                  "blocking", "sync", "victim", "notices", "inv_data",
                  "lease_reload")
 
-    def __init__(self, ctrl, block, frame=None, mshr=None, msg=None, stamp=None,
-                 on_done=None, blocking=False, sync=False, victim=None,
-                 notices=None):
+    def __init__(self, ctrl, block, frame=None, msg=None, on_done=None, stamp=None,
+                 blocking=False, sync=False, victim=None, notices=None):
+        # Parameter order puts what the hot callers (message intake, loads,
+        # stores) pass first, so each passes a short positional prefix.
         self.ctrl = ctrl
         self.block = block
         self.frame = frame
-        self.mshr = mshr
+        self.mshr = None  # set by _dispatch or an MSHR action
         self.msg = msg
-        self.stamp = stamp
         self.on_done = on_done
+        self.stamp = stamp
         self.blocking = blocking  # a blocking store (SC store / sync_write)
         self.sync = sync
         self.victim = victim
@@ -229,6 +230,10 @@ class CacheController:
         )
         self.cache = Cache(config, node)
         self.resource = Resource(sim, name=f"cc{node}")
+        # Prebound for the per-message occupancy (``receive``, ``_issue``).
+        self._submit = self.resource.submit
+        self._ctrl_cycles = config.cache_ctrl_cycles
+        self._on_message = self._process
         self.mshrs = {}
         # Self-invalidation notices collected but not yet injected into the
         # network (the flush cost delays the send).  A racing INV consumes
@@ -303,26 +308,6 @@ class CacheController:
             return CS.E
         return CS.S
 
-    def _derive_state_idx(self, block, frame):
-        """Integer form of :meth:`_derive_state` for the compiled path."""
-        mshr = self.mshrs.get(block)
-        if mshr is not None:
-            if mshr.acks_pending:
-                return _ST_E_A
-            kind = mshr.kind
-            if kind == MSHR_READ:
-                return _ST_IS_D
-            if kind == MSHR_WRITE:
-                return _ST_IM_D
-            return _ST_SM_WI if mshr.invalidated else _ST_SM_W
-        if frame is None or not frame.valid:
-            return _ST_I
-        if frame.tearoff:
-            return _ST_T
-        if frame.state == EXCLUSIVE:
-            return _ST_E
-        return _ST_S
-
     @staticmethod
     def _frame_state_idx(frame):
         """Integer form of :meth:`_frame_state` (frames and victims)."""
@@ -340,11 +325,30 @@ class CacheController:
         ``event`` and ``state`` are integer indexes into the compiled
         table's event/state spaces (``repro.coherence.compile``); the
         decide binding chose the compiled tree or the interpreter at
-        construction time.
+        construction time.  A negative ``state`` is derived here, as
+        :meth:`_derive_state` does: the MSHR first, then the frame.
         """
         if state < 0:
-            ctx.mshr = self.mshrs.get(ctx.block)
-            state = self._derive_state_idx(ctx.block, ctx.frame)
+            ctx.mshr = mshr = self.mshrs.get(ctx.block)
+            if mshr is not None:
+                if mshr.acks_pending:
+                    state = _ST_E_A
+                elif mshr.kind == MSHR_READ:
+                    state = _ST_IS_D
+                elif mshr.kind == MSHR_WRITE:
+                    state = _ST_IM_D
+                else:
+                    state = _ST_SM_WI if mshr.invalidated else _ST_SM_W
+            else:
+                frame = ctx.frame
+                if frame is None or not frame.valid:
+                    state = _ST_I
+                elif frame.tearoff:
+                    state = _ST_T
+                elif frame.state == EXCLUSIVE:
+                    state = _ST_E
+                else:
+                    state = _ST_S
         row = self._decide(state, event, ctx)
         if self.obs is not None:
             self.obs.protocol_transition(
@@ -411,7 +415,7 @@ class CacheController:
         """Processor load.  Returns HIT, or WAIT (``on_done(inval_wait,
         reason)`` fires later; reason is "miss" or "read_wb")."""
         frame = self.cache.lookup(block)
-        return self._dispatch(_EV_LOAD, _Ctx(self, block, frame=frame, on_done=on_done))
+        return self._dispatch(_EV_LOAD, _Ctx(self, block, frame, None, on_done))
 
     def write(self, block, stamp, on_done):
         """Processor store.
@@ -423,8 +427,7 @@ class CacheController:
         write has been accepted.
         """
         frame = self.cache.lookup(block)
-        ctx = _Ctx(self, block, frame=frame, stamp=stamp, on_done=on_done,
-                   blocking=not self._wc)
+        ctx = _Ctx(self, block, frame, None, on_done, stamp, not self._wc)
         return self._dispatch(_EV_STORE, ctx)
 
     def sync_write(self, block, stamp, on_done):
@@ -463,7 +466,7 @@ class CacheController:
             return
         tearoff_frames = [f for f in frames if f.tearoff]
         tracked = [f for f in frames if not f.tearoff]
-        self.misses.bump("self_invalidations", len(frames))
+        self.misses.self_invalidations += len(frames)
         cost = 1 if tearoff_frames else 0
         cost += len(tracked) * self.config.si_flush_cycles_per_block
         notices = []
@@ -471,7 +474,7 @@ class CacheController:
         # and the duplicate must replay the same row it matched while valid.
         ordered = [(f, self._frame_state_idx(f)) for f in tearoff_frames + tracked]
         for frame, state in ordered:
-            ctx = _Ctx(self, frame.tag, frame=frame, notices=notices)
+            ctx = _Ctx(self, frame.tag, frame, notices=notices)
             self._dispatch(_EV_SI_SYNC, ctx, state=state)
         for msg in notices:
             self._pending_notices[msg.block] = msg
@@ -480,15 +483,10 @@ class CacheController:
     def _si_notice(self, frame):
         block = frame.tag
         dirty = frame.dirty
+        # kind, block, src, dst, txn_id, version, data, carries_data
         return Message(
-            MsgKind.SI_NOTIFY,
-            block,
-            src=self.node,
-            dst=self.home_map.home_of(block),
-            data=frame.data,
-            si_marked=True,
-            dirty=dirty,
-            carries_data=dirty,
+            MsgKind.SI_NOTIFY, block, self.node, self.home_map.home_of(block),
+            None, None, frame.data, dirty, dirty=dirty, si_marked=True,
         )
 
     def _flush_send(self, notices, on_done):
@@ -525,7 +523,7 @@ class CacheController:
         (the IM_D/SM_W/E_A "keep" rows — the s bit stays set, so the block
         still dies at the next sync-point flush) or when the FIFO entry is
         stale."""
-        self._dispatch(_EV_SI_OVERFLOW, _Ctx(self, frame.tag, frame=frame))
+        self._dispatch(_EV_SI_OVERFLOW, _Ctx(self, frame.tag, frame))
 
     # ------------------------------------------------------------------
     # Outgoing requests
@@ -556,14 +554,7 @@ class CacheController:
 
     def _issue(self, kind, block, frame=None, txn=None):
         version = self.cache.stored_version(block) if self._send_versions else None
-        msg = Message(
-            kind,
-            block,
-            src=self.node,
-            dst=self.home_map.home_of(block),
-            version=version,
-            txn_id=txn,
-        )
+        msg = Message(kind, block, self.node, self.home_map.home_of(block), txn, version)
         if self._tardis:
             # Requests carry the program timestamp; the upgrade carries its
             # copy's wts (dataless grant iff it matches memory), and a
@@ -571,21 +562,22 @@ class CacheController:
             # score the expiry).
             msg.ts = self.pts
             msg.wts = frame.wts if frame is not None else self.cache.stored_wts(block)
-        self.resource.submit(self.config.cache_ctrl_cycles, self.network.send, msg)
+        self._submit(self._ctrl_cycles, self.network.send, msg)
 
     # ------------------------------------------------------------------
     # Incoming messages
     # ------------------------------------------------------------------
     def receive(self, msg):
-        self.resource.submit(self.config.cache_ctrl_cycles, self._process, msg)
+        self._submit(self._ctrl_cycles, self._on_message, msg)
 
     def _process(self, msg):
         entry = _MSG_EVENTS[msg.kind]
         if entry is None:
             raise ProtocolError(f"cache {self.node} received unexpected {msg!r}")
         event, needs_frame = entry
-        frame = self.cache.lookup(msg.block, touch=False) if needs_frame else None
-        self._dispatch(event, _Ctx(self, msg.block, frame=frame, msg=msg))
+        block = msg.block
+        frame = self.cache.lookup(block, touch=False) if needs_frame else None
+        self._dispatch(event, _Ctx(self, block, frame, msg))
 
     def _read_complete(self, mshr, msg, frame):
         if self.monitor:
@@ -626,17 +618,10 @@ class CacheController:
     def _reply(self, kind, msg, data=0, dirty=False):
         # Acks echo the incoming message's causal id (an INV carries the
         # id of the transaction whose grant is waiting on this ack).
+        # kind, block, src, dst, txn_id, version, data, carries_data
         self.network.send(
-            Message(
-                kind,
-                msg.block,
-                src=self.node,
-                dst=msg.src,
-                data=data,
-                dirty=dirty,
-                carries_data=dirty,
-                txn_id=msg.txn_id,
-            )
+            Message(kind, msg.block, self.node, msg.src, msg.txn_id, None, data, dirty,
+                    dirty=dirty)
         )
 
     # ------------------------------------------------------------------
@@ -659,9 +644,7 @@ class CacheController:
             # Cache-side identification: this block keeps getting
             # invalidated under us — mark it ourselves.
             si = True
-        frame, victim = self.cache.fill(
-            block, state, data, version=version, s_bit=si, tearoff=tearoff, dirty=dirty
-        )
+        frame, victim = self.cache.fill(block, state, data, version, si, tearoff, dirty)
         if frame is None:
             # Every frame in the set is pinned; retry when a pin releases.
             self._deferred_fills.append(
@@ -695,22 +678,22 @@ class CacheController:
         state = (
             _ST_T if frame.valid and frame.tearoff and frame.tag == block else _ST_I
         )
-        self._dispatch(_EV_SC_DROP, _Ctx(self, block, frame=frame), state=state)
+        self._dispatch(_EV_SC_DROP, _Ctx(self, block, frame), state=state)
 
     def _after_si_fill(self, frame):
-        self.misses.bump("si_marked_fills")
+        self.misses.si_marked_fills += 1
         if frame.tearoff:
-            self.misses.bump("tearoff_fills")
+            self.misses.tearoff_fills += 1
         overflow = self.mechanism.on_si_fill(frame)
         if overflow is not None:
-            self.misses.bump("fifo_overflows")
+            self.misses.fifo_overflows += 1
             self._self_invalidate_now(overflow)
 
     def retry_deferred_fills(self):
         """Re-attempt fills that found every frame pinned."""
         pending, self._deferred_fills = self._deferred_fills, []
         for block, state, data, version, si, tearoff, dirty, then in pending:
-            self._fill(block, state, data, version=version, si=si, tearoff=tearoff, dirty=dirty, then=then)
+            self._fill(block, state, data, version, si, tearoff, dirty, then)
 
     def _evict(self, victim):
         ctx = _Ctx(self, victim.block, victim=victim)
@@ -722,23 +705,23 @@ class CacheController:
     def _act_read_hit(self, ctx):
         if self.monitor:
             self.monitor.on_read(self.node, ctx.block, ctx.frame.data)
-        self.misses.bump("read_hits")
+        self.misses.read_hits += 1
 
     def _act_queue_read_waiter(self, ctx):
         ctx.mshr.read_waiters.append(ctx.on_done)
 
     def _act_count_read_miss(self, ctx):
-        self.misses.bump("read_misses")
+        self.misses.read_misses += 1
 
     def _act_count_write_miss(self, ctx):
-        self.misses.bump("write_misses")
+        self.misses.write_misses += 1
 
     def _act_drop_sc_tearoff(self, ctx):
         self._drop_sc_tearoff()
 
     def _act_alloc_mshr_read(self, ctx):
-        ctx.mshr = Mshr(MSHR_READ, ctx.block, on_done=ctx.on_done)
-        self._register_mshr(ctx.mshr, renewal=ctx.lease_reload)
+        ctx.mshr = Mshr(MSHR_READ, ctx.block, ctx.on_done)
+        self._register_mshr(ctx.mshr, ctx.lease_reload)
 
     def _act_alloc_mshr_write(self, ctx):
         ctx.mshr = Mshr(
@@ -760,33 +743,32 @@ class CacheController:
             sync=ctx.sync,
         )
         ctx.frame.pinned = True
-        self.misses.bump("upgrades")
+        self.misses.upgrades += 1
         self._register_mshr(mshr)
         ctx.mshr = mshr
 
     def _act_send_gets(self, ctx):
-        self._issue(MsgKind.GETS, ctx.block, txn=ctx.mshr.txn_id)
+        self._issue(MsgKind.GETS, ctx.block, None, ctx.mshr.txn_id)
 
     def _act_send_getx(self, ctx):
-        self._issue(MsgKind.GETX, ctx.block, txn=ctx.mshr.txn_id)
+        self._issue(MsgKind.GETX, ctx.block, None, ctx.mshr.txn_id)
 
     def _act_send_upgrade(self, ctx):
-        self._issue(MsgKind.UPGRADE, ctx.block, frame=ctx.frame,
-                    txn=ctx.mshr.txn_id)
+        self._issue(MsgKind.UPGRADE, ctx.block, ctx.frame, ctx.mshr.txn_id)
 
     def _act_write_hit(self, ctx):
         self._apply_write(ctx.frame, ctx.stamp)
-        self.misses.bump("write_hits")
+        self.misses.write_hits += 1
 
     def _act_wb_merge(self, ctx):
         self.write_buffer.merge(ctx.block, ctx.stamp)
         ctx.mshr.stamp = ctx.stamp
-        self.misses.bump("write_hits")
+        self.misses.write_hits += 1
 
     def _act_wb_merge_pending(self, ctx):
         self.write_buffer.merge(ctx.block, ctx.stamp)
         ctx.mshr.pending_write = (ctx.stamp,)
-        self.misses.bump("write_hits")
+        self.misses.write_hits += 1
 
     def _act_wb_wait_space(self, ctx):
         block, stamp, on_done = ctx.block, ctx.stamp, ctx.on_done
@@ -800,7 +782,7 @@ class CacheController:
     def _act_wb_alloc_pending(self, ctx):
         self.write_buffer.allocate(ctx.block, ctx.stamp, self.sim.now)
         ctx.mshr.pending_write = (ctx.stamp,)
-        self.misses.bump("write_misses")
+        self.misses.write_misses += 1
 
     def _act_invalidate_copy(self, ctx):
         if self.monitor:
@@ -814,36 +796,21 @@ class CacheController:
     def _act_fill_s(self, ctx):
         mshr, msg = ctx.mshr, ctx.msg
         self._fill(
-            msg.block,
-            SHARED,
-            msg.data,
-            version=msg.version,
-            si=msg.si,
-            tearoff=msg.tearoff,
+            msg.block, SHARED, msg.data, msg.version, msg.si, msg.tearoff,
             then=lambda frame: self._read_complete(mshr, msg, frame),
         )
 
     def _act_fill_e_clean(self, ctx):
         mshr, msg = ctx.mshr, ctx.msg
         self._fill(
-            msg.block,
-            EXCLUSIVE,
-            msg.data,
-            version=msg.version,
-            si=msg.si,
-            dirty=False,
+            msg.block, EXCLUSIVE, msg.data, msg.version, msg.si,
             then=lambda frame: self._read_complete(mshr, msg, frame),
         )
 
     def _act_fill_e_dirty(self, ctx):
         mshr, msg = ctx.mshr, ctx.msg
         self._fill(
-            msg.block,
-            EXCLUSIVE,
-            mshr.stamp,
-            version=msg.version,
-            si=msg.si,
-            dirty=True,
+            msg.block, EXCLUSIVE, mshr.stamp, msg.version, msg.si, False, True,
             then=lambda frame: self._write_granted(mshr, msg, frame),
         )
 
@@ -892,7 +859,7 @@ class CacheController:
         self._write_complete(ctx.mshr, 0)
 
     def _act_record_inv(self, ctx):
-        self.misses.bump("explicit_invalidations")
+        self.misses.explicit_invalidations += 1
         if self.history is not None:
             self.history.record(ctx.block)
         # A migratory (clean) exclusive copy acknowledges without data —
@@ -933,7 +900,7 @@ class CacheController:
         self.cache.invalidate(ctx.frame)
 
     def _act_si_early_silent(self, ctx):
-        self.misses.bump("self_invalidations")
+        self.misses.self_invalidations += 1
         if self.monitor:
             self.monitor.on_invalidate(self.node, ctx.block)
         if self.obs is not None:
@@ -941,7 +908,7 @@ class CacheController:
         self.cache.invalidate(ctx.frame)
 
     def _act_si_early_notify(self, ctx):
-        self.misses.bump("self_invalidations")
+        self.misses.self_invalidations += 1
         notice = self._si_notice(ctx.frame)
         if self.monitor:
             self.monitor.on_invalidate(self.node, ctx.block)
@@ -965,7 +932,7 @@ class CacheController:
             self.monitor.on_invalidate(self.node, ctx.block)
         if self.obs is not None:
             self.obs.cache_self_invalidate(self.node, ctx.block, at_sync=False)
-        self.misses.bump("self_invalidations")
+        self.misses.self_invalidations += 1
         self.cache.invalidate(ctx.frame)
 
     # -- Tardis (leased logical timestamps) ----------------------------
@@ -973,12 +940,12 @@ class CacheController:
         self.pts = max(self.pts, ctx.frame.wts)
         if self.monitor:
             self.monitor.on_read(self.node, ctx.block, ctx.frame.data)
-        self.misses.bump("read_hits")
+        self.misses.read_hits += 1
 
     def _act_tardis_write_hit(self, ctx):
         self._tardis_write_bump(ctx.frame)
         self._apply_write(ctx.frame, ctx.stamp)
-        self.misses.bump("write_hits")
+        self.misses.write_hits += 1
 
     def _act_lease_expire_si(self, ctx):
         # The free self-invalidation: no message, no ack — the copy just
@@ -988,7 +955,7 @@ class CacheController:
         # can attribute the reload stall to the expired lease rather than
         # a cold miss.
         ctx.lease_reload = True
-        self.misses.bump("self_invalidations")
+        self.misses.self_invalidations += 1
         if self.monitor:
             self.monitor.on_invalidate(self.node, ctx.block)
         if self.obs is not None:
@@ -1067,7 +1034,7 @@ class CacheController:
         )
 
     def _act_evict_count(self, ctx):
-        self.misses.bump("replacements")
+        self.misses.replacements += 1
         if self.obs is not None:
             self.obs.cache_evict(self.node, ctx.victim.block, ctx.victim.dirty)
 
@@ -1075,16 +1042,12 @@ class CacheController:
         victim = ctx.victim
         if self.monitor:
             self.monitor.on_invalidate(self.node, victim.block)
+        # kind, block, src, dst, txn_id, version, data, carries_data
         self.network.send(
             Message(
-                MsgKind.WB,
-                victim.block,
-                src=self.node,
-                dst=self.home_map.home_of(victim.block),
-                data=victim.data,
-                si_marked=victim.s_bit,
-                dirty=True,
-                carries_data=True,
+                MsgKind.WB, victim.block, self.node,
+                self.home_map.home_of(victim.block), None, None, victim.data, True,
+                dirty=True, si_marked=victim.s_bit,
             )
         )
 
@@ -1094,11 +1057,8 @@ class CacheController:
             self.monitor.on_invalidate(self.node, victim.block)
         self.network.send(
             Message(
-                MsgKind.REPL,
-                victim.block,
-                src=self.node,
-                dst=self.home_map.home_of(victim.block),
-                si_marked=victim.s_bit,
+                MsgKind.REPL, victim.block, self.node,
+                self.home_map.home_of(victim.block), si_marked=victim.s_bit,
             )
         )
 

@@ -111,7 +111,6 @@ class Machine:
             sim.add_deadlock_hook(controller.deadlock_diagnostic)
         for directory in self.directories:
             sim.add_deadlock_hook(directory.deadlock_diagnostic)
-        sim.add_deadlock_hook(self.network.deadlock_diagnostic)
         sim.add_deadlock_hook(self.locks.deadlock_diagnostic)
         sim.add_deadlock_hook(self.barrier.deadlock_diagnostic)
 

@@ -63,6 +63,20 @@ class TestSimulator:
         sim.run()
         assert fired == [10, 20, 30]
 
+    def test_run_until_in_the_past_is_refused(self):
+        sim = Simulator()
+        fired = []
+        for t in (10, 20):
+            sim.schedule(t, fired.append, t)
+        sim.run(until=15)
+        assert sim.now == 15
+        with pytest.raises(SimulationError):
+            sim.run(until=5)
+        assert sim.now == 15  # the clock is left alone
+        sim.schedule(1, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10, 16, 20]
+
     def test_step(self):
         sim = Simulator()
         fired = []

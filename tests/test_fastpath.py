@@ -433,3 +433,36 @@ class TestBatchBoundaries:
             config = SystemConfig(n_processors=4, cache_size=16384, **fields)
             program = by_name("producer_consumer", n_procs=4)
             _assert_paths_identical(config, program)
+
+
+# ---------------------------------------------------------------------------
+# A load the fast path found missing is not probed again
+# ---------------------------------------------------------------------------
+
+
+class TestMissHandoff:
+    def test_missing_load_is_not_probed_again(self, monkeypatch):
+        # Barnes at a 16 KB cache: remote coherence misses dominate.  With
+        # direct execution on, every load that reaches the interpreted
+        # loop was just found missing by FastPath.advance, so the
+        # processor issues it without calling try_read; the interpreted
+        # reference probes every load itself.
+        probes = Counter()
+        try_read = CacheController.try_read
+
+        def counting_read(self, block):
+            probes["try_read"] += 1
+            return try_read(self, block)
+
+        monkeypatch.setattr(CacheController, "try_read", counting_read)
+        config = SystemConfig(n_processors=4, cache_size=16384,
+                              identify=IdentifyScheme.VERSION)
+        program = by_name("barnes", n_procs=4, bodies_per_proc=8, cells=48,
+                          iterations=2, gather=6)
+        _, record, _ = _run(config, program)
+        assert probes["try_read"] == 0
+        assert record.misses.read_misses > 100  # miss-heavy
+        _, ref_record, _ = _run(_reference(config), program)
+        assert probes["try_read"] > record.misses.read_misses
+        assert record == ref_record
+        assert record.events_fired == ref_record.events_fired

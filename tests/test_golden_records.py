@@ -63,18 +63,9 @@ def _golden():
         return json.load(handle)
 
 
-def _mismatches(name):
-    golden = _golden()[name]
-    current = digests(name)
-    assert current.keys() == golden.keys()
-    return [key for key in golden if current[key] != golden[key]]
-
-
 def test_golden_file_covers_every_set():
     golden = _golden()
     assert set(golden) == set(SETS)
-    for name, (variants, workloads, _n_procs) in SETS.items():
-        assert len(golden[name]) == len(variants) * len(workloads), name
     assert [len(golden[name]) for name in ("spine", "grid", "grid32")] == [16, 230, 92]
 
 
@@ -91,7 +82,10 @@ def test_spine_records_match_golden(variant, workload):
 )
 @pytest.mark.parametrize("name", ["grid", "grid32"])
 def test_grid_records_match_golden(name):
-    assert not _mismatches(name)
+    golden = _golden()[name]
+    current = digests(name)
+    assert current.keys() == golden.keys()
+    assert [key for key in golden if current[key] != golden[key]] == []
 
 
 if __name__ == "__main__":

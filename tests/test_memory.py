@@ -253,20 +253,43 @@ def cache_ops(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["fill", "touch", "inval", "mark", "refill"]),
-                st.integers(0, 30),
+                # Fills are half the ops, so sets fill up and evict.
+                st.one_of(
+                    st.just("fill"),
+                    st.sampled_from(["touch", "inval", "mark", "refill", "pin", "unpin"]),
+                ),
+                st.integers(0, 15),
             ),
-            max_size=60,
+            min_size=20,
+            max_size=80,
         )
     )
     return ops
+
+
+def reference_fill(frames, block):
+    """The frame ``Cache.fill`` must choose, from the set as it was before
+    the fill: ``(frame, evicts)``.  The frame with a matching tag; else
+    the least recently used invalid unpinned frame; else the least
+    recently used unpinned (valid) frame, evicting it; else none."""
+    for frame in frames:
+        if frame.tag == block:
+            return frame, False
+    invalid = [f for f in frames if not f.valid and not f.pinned]
+    if invalid:
+        return min(invalid, key=lambda f: f.lru), False
+    unpinned = [f for f in frames if not f.pinned]
+    if unpinned:
+        return min(unpinned, key=lambda f: f.lru), True
+    return None, False
 
 
 class TestCacheModelProperty:
     @given(cache_ops())
     @settings(max_examples=80, deadline=None)
     def test_against_reference_lru(self, ops):
-        """The cache must agree with a simple dict-based LRU reference."""
+        """The cache must agree with a simple dict-based LRU reference,
+        and every fill must pick the frame the reference rule names."""
         assoc = 2
         cache = make_cache(cache_size=2 * 32 * 4, assoc=assoc)  # 4 sets
         n_sets = cache.n_sets
@@ -282,11 +305,20 @@ class TestCacheModelProperty:
                     continue  # model: no double fill
                 if cache.lookup(block, touch=False) is not None:
                     continue
+                expected, evicts = reference_fill(cache.sets[block % n_sets], block)
+                evicted_block = expected.tag if evicts else None
+                unpinned = [b for b in bucket if not cache.lookup(b, touch=False).pinned]
                 frame, victim = cache.fill(block, SHARED, data=0)
-                if len(bucket) == assoc:
-                    expected_victim = bucket.pop(0)
-                    assert victim is not None and victim.block == expected_victim
-                bucket.append(block)
+                assert frame is expected
+                if evicts:
+                    # ...and the model's LRU order agrees on the victim.
+                    assert victim is not None and victim.block == evicted_block
+                    assert evicted_block == unpinned[0]
+                    bucket.remove(evicted_block)
+                else:
+                    assert victim is None
+                if frame is not None:
+                    bucket.append(block)
             elif op == "touch":
                 hit = cache.lookup(block)
                 assert (hit is not None) == (block in bucket)
@@ -305,6 +337,14 @@ class TestCacheModelProperty:
                 frame = cache.lookup(block, touch=False)
                 if frame is not None:
                     cache.mark_si(frame, marked=not frame.s_bit)
+            elif op == "pin":  # an upgrade reserves a valid frame
+                frame = cache.lookup(block, touch=False)
+                if frame is not None:
+                    frame.pinned = True
+            elif op == "unpin":  # the pin outlives an invalidation
+                for frame in cache.sets[block % n_sets]:
+                    if frame.tag == block:
+                        frame.pinned = False
             else:  # refill: invalidate, then fill into the frame keeping the tag
                 frame = cache.lookup(block, touch=False)
                 if frame is not None:

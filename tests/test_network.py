@@ -149,13 +149,6 @@ class TestCounters:
         sim.run()
         assert net.counters.data_blocks_sent == 1
 
-    def test_in_flight_diagnostic(self):
-        sim, net, caches, dirs = make_network()
-        net.send(Message(MsgKind.GETS, 1, src=0, dst=1))
-        assert net.deadlock_diagnostic() is not None
-        sim.run()
-        assert net.deadlock_diagnostic() is None
-
 
 class TestMesh:
     def test_hop_distance(self):
