@@ -5,6 +5,9 @@ spotting performance regressions in the kernel rather than for paper
 reproduction.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.config import SystemConfig
@@ -16,7 +19,7 @@ from repro.network.network import Network
 from repro.system import Machine
 from repro.harness.configs import workload_args
 from repro.trace.builder import TraceBuilder
-from repro.workloads import CATALOG, em3d
+from repro.workloads import CATALOG, em3d, sparse
 
 KB = 1024
 
@@ -164,3 +167,37 @@ def test_end_to_end_simulation_rate(benchmark):
     assert result.exec_time > 0
     ops = program.total_ops()
     print(f"\nsimulated {ops} memory operations, {result.events_fired} events")
+
+
+def test_machine_footprint(benchmark):
+    """Host memory of one finished 32-processor ``sparse`` machine at quick
+    scale, as tracemalloc counts it: the bytes the machine holds after its
+    run, and the bytes left once it is closed and its last reference is
+    dropped: about 0, since no reference cycle keeps it for the collector
+    (what stays is a few blocks parked in the interpreter's free lists)."""
+    program = sparse(**workload_args("sparse", quick=True, n_procs=32))
+    config = SystemConfig(n_processors=32, cache_size=16 * KB)
+    with Machine(config, program) as machine:  # compile the tables first
+        machine.run()
+    del machine
+
+    def measure():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            machine = Machine(config, program)
+            machine.run()
+            held = tracemalloc.get_traced_memory()[0] - base
+            machine.close()
+            del machine
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        return held, left
+
+    held, left = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info.update(held_bytes=held, left_bytes=left)
+    print(f"\nfinished machine holds {held / 1e6:.2f} MB; "
+          f"{left} bytes left after close() and del")
+    assert left < held / 10

@@ -720,7 +720,7 @@ class DirectoryController:
 
     def _drain_deferred(self, entry):
         while entry.deferred and not entry.busy:
-            msg = entry.deferred.popleft()
+            msg = entry.deferred.pop(0)
             self._dispatch(_MSG_EVENTS[msg.kind], _Ctx(self, entry, msg))
 
     # ------------------------------------------------------------------

@@ -466,7 +466,7 @@ def _experiments(args, selected):
     runner = _make_runner(args)
     if runner is None:
         return 2
-    started = time.time()
+    started = time.perf_counter()
     try:
         # Plan: union every selected experiment's specs into one pool
         # batch, so a multi-experiment sweep parallelizes across
@@ -479,7 +479,7 @@ def _experiments(args, selected):
         results = [EXPERIMENTS[name](runner) for name in selected]
     finally:
         runner.close()  # flush telemetry sinks even when a run fails
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     if args.log:
         print(f"# wrote telemetry log -> {args.log} "
               f"(analyze with: dsi-sim report {args.log})", file=sys.stderr)
@@ -554,13 +554,13 @@ def _check_protocol(args):
         check_variant, bugs=bugs, configs=configs, max_states=args.max_states
     )
     jobs = args.jobs or os.cpu_count() or 1
-    started = time.time()
+    started = time.perf_counter()
     if jobs > 1 and len(variants) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(variants))) as pool:
             reports = list(pool.map(check, variants))
     else:
         reports = [check(v) for v in variants]
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     payload = []
     for report in reports:
         uncovered = [
@@ -713,7 +713,7 @@ def _run_one(args):
         **_protocol_overrides(args),
     )
     instrument = _make_instrument(args)
-    started = time.time()
+    started = time.perf_counter()
     machine = Machine(config, program, instrument=instrument)
     tracer = None
     if args.show_trace:
@@ -721,7 +721,7 @@ def _run_one(args):
 
         tracer = attach_tracer(machine, MessageTracer(max_events=args.show_trace))
     result = machine.run()
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     record = RunRecord.from_result(result)
     record.set_timing(wall)
     extra = {
@@ -799,7 +799,7 @@ def _trace(args):
     # --txn needs the causal stitcher; ids are deterministic across
     # instrumented runs, so an id from 'dsi-sim why' replays here.
     instrument = CausalInstrument(keep_txns=txns) if txns else Instrument()
-    started = time.time()
+    started = time.perf_counter()
     machine = Machine(config, program, instrument=instrument)
     tracer = attach_tracer(
         machine,
@@ -810,7 +810,7 @@ def _trace(args):
         ),
     )
     result = machine.run()
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     print(f"workload: {program.describe()}")
     print(f"protocol: {config.describe()}  cache={config.cache_size // 1024}KB "
           f"net={config.network_latency}\n")
@@ -911,7 +911,7 @@ def _why(args):
         )
         return config, instrument, result, report
 
-    started = time.time()
+    started = time.perf_counter()
     config, instrument, result, report = run_variant(args.protocol)
     diff = None
     if args.diff:
@@ -919,7 +919,7 @@ def _why(args):
         # deltas mean the primary run spends more cycles there.
         _, _, _, base_report = run_variant(args.diff)
         diff = diff_why(base_report, report)
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     _write_obs_outputs(
         args,
         instrument,
@@ -974,9 +974,9 @@ def _analyze(args):
         **_protocol_overrides(args),
     )
     instrument = AnalyticsInstrument(audit=not args.no_audit)
-    started = time.time()
+    started = time.perf_counter()
     result = Machine(config, program, instrument=instrument).run()
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     report = instrument.report(top=args.top)
     _write_obs_outputs(
         args,

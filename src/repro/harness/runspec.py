@@ -74,19 +74,21 @@ class RunSpec:
         only *read* the machine (the benchmark's run clock times
         ``Machine.run`` and checks :meth:`Machine.progress` this way);
         unlike an ``instrument`` it alters neither engine selection nor
-        results.  ``None`` costs one ``is not None`` check.
+        results.  ``None`` costs one ``is not None`` check.  The machine
+        is closed (:meth:`Machine.close`) after ``detach``, so a sweep
+        frees each finished machine at once.
         """
         if program is None:
             program = self.build_program()
-        machine = Machine(self.config, program)
-        if observer is not None:
-            observer.attach(machine)
-            try:
+        with Machine(self.config, program) as machine:
+            if observer is not None:
+                observer.attach(machine)
+                try:
+                    result = machine.run()
+                finally:
+                    observer.detach()
+            else:
                 result = machine.run()
-            finally:
-                observer.detach()
-        else:
-            result = machine.run()
         return RunRecord.from_result(result)
 
     # ------------------------------------------------------------------

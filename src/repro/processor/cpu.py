@@ -27,8 +27,10 @@ from repro.processor.fastpath import FastPath
 from repro.stats.breakdown import Breakdown
 from repro.trace.ops import OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE
 
-#: ops decoded per window
-WINDOW = 4096
+#: ops decoded per window.  A decoded op costs a block-number int object
+#: and three list slots, about 55 bytes on every processor: at 4096 ops
+#: the windows were 60% of a finished 32-processor machine's host memory.
+WINDOW = 1024
 
 
 class StampSource:
@@ -144,7 +146,7 @@ class Processor:
             if kind == OP_READ:
                 block = blocks[p]
                 # With direct execution on, ``fast.advance`` has just found
-                # this load missing: no second probe.
+                # this load missing: no second probe, here or in ``read``.
                 if fast is None and ctrl.try_read(block):
                     breakdown.compute += hit_cycles
                     elapsed += hit_cycles
@@ -160,7 +162,8 @@ class Processor:
                     sim.schedule(elapsed, self._run)
                     return
                 self._stall_start = sim.now
-                ctrl.read(block, self._read_done)
+                frame = None if fast is not None else ctrl.cache.lookup(block)
+                ctrl.read(block, frame, self._read_done)
                 return
             if kind == OP_WRITE:
                 block = blocks[p]

@@ -411,10 +411,11 @@ class CacheController:
                     return True
         return False
 
-    def read(self, block, on_done):
-        """Processor load.  Returns HIT, or WAIT (``on_done(inval_wait,
-        reason)`` fires later; reason is "miss" or "read_wb")."""
-        frame = self.cache.lookup(block)
+    def read(self, block, frame, on_done):
+        """Processor load of ``block``, whose valid frame the caller has
+        just probed (``frame``, None for a miss).  Returns HIT, or WAIT
+        (``on_done(inval_wait, reason)`` fires later; reason is "miss"
+        or "read_wb")."""
         return self._dispatch(_EV_LOAD, _Ctx(self, block, frame, None, on_done))
 
     def write(self, block, stamp, on_done):

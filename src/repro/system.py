@@ -8,6 +8,11 @@ This is the main entry point of the library::
     program = workloads.em3d(n_procs=32)
     result = Machine(SystemConfig(n_processors=32), program).run()
     print(result.exec_time, result.aggregate_breakdown().as_dict())
+
+A machine is a web of components that call one another back, so it
+holds reference cycles.  Code that builds many machines opens each one
+with ``with`` (or calls :meth:`Machine.close`), which frees it as soon as
+it goes out of scope instead of at the cyclic collector's next pass.
 """
 
 from repro.config import SystemConfig
@@ -98,6 +103,44 @@ class Machine:
         self._register_deadlock_hooks()
         self._ran = False
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+
+    def close(self):
+        """Cut the machine's internal reference cycles.
+
+        After a completed run, the six back references cut here are the
+        only cycles an uninstrumented machine holds, so it is freed by
+        reference counting the moment its last reference goes (a run
+        that raised may leave more: queued events, MSHR callbacks).
+        Read-only use stays possible (:meth:`progress`, the components'
+        counters); running does not.  Idempotent.
+        """
+        self._ran = True
+        sim, network = self.sim, self.network
+        # 1. deadlock hooks: bound methods of every component, which all
+        #    hold the simulator.
+        sim._deadlock_hooks.clear()
+        # 2. each Resource's prebound completion (a bound method of itself).
+        controllers = self.controllers + self.directories
+        for resource in network.interfaces + [ctrl.resource for ctrl in controllers]:
+            resource._on_finish = None
+        # 3. prebound message handlers of the controllers and the network.
+        for ctrl in controllers:
+            ctrl._on_message = None
+        network._on_injected = network._on_deliver = None
+        # 4. delivery sinks: the controllers hold the network.
+        network.cache_sinks = network.dir_sinks = None
+        # 5. the direct-execution batcher points back at its processor.
+        for proc in self.processors:
+            proc._fast = None
+        # 6. (Tardis) the barrier's release hook is a bound method of this
+        #    machine.
+        self.barrier.on_release = None
+
     def _tardis_pts_join(self, nodes):
         peak = max(controller.pts for controller in self.controllers)
         for controller in self.controllers:
@@ -136,7 +179,9 @@ class Machine:
         """Run the program to completion; returns a
         :class:`~repro.stats.report.RunResult`."""
         if self._ran:
-            raise SimulationError("Machine.run may only be called once")
+            raise SimulationError(
+                "Machine.run may only be called once, and not after close()"
+            )
         self._ran = True
         for proc in self.processors:
             proc.start()
@@ -165,4 +210,5 @@ class Machine:
 
 def simulate(config, program, network_cls=Network, instrument=None):
     """Convenience: build a machine, run the program, return the result."""
-    return Machine(config, program, network_cls=network_cls, instrument=instrument).run()
+    with Machine(config, program, network_cls=network_cls, instrument=instrument) as machine:
+        return machine.run()

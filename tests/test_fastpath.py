@@ -31,7 +31,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import Consistency, IdentifyScheme, SIMechanism, SystemConfig
-from repro.memory.cache import EXCLUSIVE
+from repro.memory.cache import EXCLUSIVE, Cache
 from repro.network.message import Message
 from repro.obs.instrument import Instrument
 from repro.protocol.controller import CacheController
@@ -445,23 +445,41 @@ class TestMissHandoff:
         # Barnes at a 16 KB cache: remote coherence misses dominate.  With
         # direct execution on, every load that reaches the interpreted
         # loop was just found missing by FastPath.advance, so the
-        # processor issues it without calling try_read; the interpreted
-        # reference probes every load itself.
+        # processor issues it without calling try_read, and ``read``
+        # takes that miss (a None frame) without a Cache.lookup of its
+        # own; the interpreted reference probes every load itself.
         probes = Counter()
-        try_read = CacheController.try_read
+        try_read, read, lookup = CacheController.try_read, CacheController.read, Cache.lookup
+        reading = []
 
-        def counting_read(self, block):
+        def counting_try_read(self, block):
             probes["try_read"] += 1
             return try_read(self, block)
 
-        monkeypatch.setattr(CacheController, "try_read", counting_read)
+        def watched_read(self, *args):
+            probes["read"] += 1
+            reading.append(True)
+            try:
+                return read(self, *args)
+            finally:
+                reading.pop()
+
+        def counting_lookup(self, *args, **kwargs):
+            if reading:
+                probes["lookup_in_read"] += 1
+            return lookup(self, *args, **kwargs)
+
+        monkeypatch.setattr(CacheController, "try_read", counting_try_read)
+        monkeypatch.setattr(CacheController, "read", watched_read)
+        monkeypatch.setattr(Cache, "lookup", counting_lookup)
         config = SystemConfig(n_processors=4, cache_size=16384,
                               identify=IdentifyScheme.VERSION)
         program = by_name("barnes", n_procs=4, bodies_per_proc=8, cells=48,
                           iterations=2, gather=6)
         _, record, _ = _run(config, program)
         assert probes["try_read"] == 0
-        assert record.misses.read_misses > 100  # miss-heavy
+        assert probes["lookup_in_read"] == 0
+        assert probes["read"] >= record.misses.read_misses > 100  # miss-heavy
         _, ref_record, _ = _run(_reference(config), program)
         assert probes["try_read"] > record.misses.read_misses
         assert record == ref_record

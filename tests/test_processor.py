@@ -4,10 +4,14 @@ import pytest
 
 from conftest import seg_addr, tiny_config
 from repro.errors import SimulationError
+from repro.harness.configs import paper_config, workload_args
+from repro.processor import cpu
 from repro.stats.breakdown import CATEGORIES, Breakdown
+from repro.stats.record import RunRecord
 from repro.system import Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
+from repro.workloads import by_name
 
 
 def one_proc(build, **config_over):
@@ -131,6 +135,13 @@ class TestMachineGuards:
         with pytest.raises(SimulationError):
             machine.run()
 
+    def test_closed_machine_does_not_run(self):
+        program = Program("p", [TraceBuilder().read(seg_addr(0)).build()])
+        with Machine(tiny_config(n_procs=1), program) as machine:
+            pass
+        with pytest.raises(SimulationError, match="close"):
+            machine.run()
+
     def test_proc_count_mismatch_rejected(self):
         program = Program("p", [TraceBuilder().build()])
         from repro.errors import ConfigError
@@ -143,3 +154,23 @@ class TestMachineGuards:
         program = Program("p", [b.build() for b in builders])
         result = Machine(tiny_config(n_procs=2), program).run()
         assert result.exec_time == max(result.per_proc_time)
+
+
+class TestDecodeWindow:
+    """The decoded op window is a host-side buffer: where it ends must not
+    show in any record.  Windows of 1 and 7 ops put every op kind, sync
+    ops included, on a window edge, on both the direct-execution path (SC,
+    W+V, S) and the interpreted one (TARDIS); sparse crosses the default
+    window eight times per processor."""
+
+    @pytest.mark.parametrize("protocol", ["SC", "W+V", "S", "TARDIS"])
+    @pytest.mark.parametrize("workload", ["barnes", "sparse"])
+    def test_records_independent_of_window(self, monkeypatch, workload, protocol):
+        program = by_name(workload, **workload_args(workload, quick=True, n_procs=4))
+        config = paper_config(protocol, n_procs=4)
+        records = []
+        for window in (1, 7, cpu.WINDOW):
+            monkeypatch.setattr(cpu, "WINDOW", window)
+            records.append(RunRecord.from_result(Machine(config, program).run()))
+        assert records[0] == records[1] == records[2]
+        assert len({record.events_fired for record in records}) == 1

@@ -1,6 +1,8 @@
 """RunPool: parallel fan-out, persistent cache, runner integration."""
 
+import itertools
 import os
+import time
 
 import pytest
 
@@ -207,6 +209,16 @@ class TestRunTelemetry:
         assert record.sim_cycles_per_s == pytest.approx(
             record.exec_time / record.wall_time_s
         )
+
+    def test_timing_ignores_wall_clock_steps(self, monkeypatch):
+        # Durations come from a monotonic clock: a wall clock that steps
+        # backwards mid-run (NTP, a resumed VM) must not give a negative
+        # wall time or drop the rate.
+        stamps = itertools.count(1e9, -1.0)
+        monkeypatch.setattr(time, "time", lambda: next(stamps))
+        record = RunPool(jobs=1).run(_specs()[0])
+        assert record.wall_time_s > 0
+        assert record.sim_cycles_per_s is not None
 
     def test_timing_survives_parallel_workers(self):
         records = RunPool(jobs=4).run_batch(_specs())

@@ -1,12 +1,17 @@
-"""RunSpec and RunRecord: value semantics, hashing, serialization."""
+"""RunSpec and RunRecord: value semantics, hashing, serialization, and
+the machine lifetime around :meth:`RunSpec.execute`."""
 
+import gc
 import pickle
 
 import pytest
 
 from repro.config import IdentifyScheme, SystemConfig
+from repro.errors import SimulationError
+from repro.harness.configs import paper_config, workload_args
 from repro.harness.runspec import RunSpec, SpecValidationError
 from repro.stats.record import RunRecord
+from repro.system import Machine
 
 
 def _config(**overrides):
@@ -79,6 +84,66 @@ class TestRunSpec:
         assert isinstance(record, RunRecord)
         assert record.exec_time > 0
         assert record.workload.startswith("write_conflict")
+
+
+def _cyclic_garbage(spec):
+    """Objects the cyclic collector finds after one ``spec.execute``."""
+    program = spec.build_program()
+    spec.execute(program)  # compiling a variant's tables leaves one-off garbage
+    gc.collect()
+    gc.disable()
+    try:
+        spec.execute(program)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestTeardown:
+    """A finished machine is freed by reference counting alone, so a sweep
+    never holds dead machines until the collector's next full pass."""
+
+    @pytest.mark.parametrize(
+        "protocol", ["SC", "W", "S", "V", "W+V", "TARDIS", "W+TARDIS"]
+    )
+    @pytest.mark.parametrize("workload", ["em3d", "migratory"])
+    def test_execute_leaves_no_cyclic_garbage(self, workload, protocol):
+        spec = RunSpec.create(
+            workload, paper_config(protocol, n_procs=4),
+            **workload_args(workload, quick=True, n_procs=4),
+        )
+        assert _cyclic_garbage(spec) == 0
+
+    @pytest.mark.parametrize("protocol", ["V", "W+V", "TARDIS"])
+    def test_monitored_execute_leaves_no_cyclic_garbage(self, protocol):
+        config = paper_config(protocol, n_procs=4, check_invariants=True)
+        spec = RunSpec.create("migratory", config, n_procs=4)
+        assert _cyclic_garbage(spec) == 0
+
+    def test_machine_closed_after_detach_when_run_raises(self, monkeypatch):
+        calls = []
+        close = Machine.close
+
+        def spy_close(machine):
+            calls.append("close")
+            close(machine)
+
+        class Observer:
+            def attach(self, machine):
+                calls.append("attach")
+
+            def detach(self):
+                calls.append("detach")
+
+        monkeypatch.setattr(Machine, "close", spy_close)
+        spec = _spec(max_events=5)
+        with pytest.raises(SimulationError, match="max_events"):
+            spec.execute(observer=Observer())
+        assert calls == ["attach", "detach", "close"]
+        calls.clear()
+        with pytest.raises(SimulationError, match="max_events"):
+            spec.execute()
+        assert calls == ["close"]
 
 
 class TestRunSpecFromDict:
