@@ -146,12 +146,14 @@ def test_trace_generation_rate(benchmark):
     assert len(trace) == 20_000
 
 
+@pytest.mark.parametrize("scale", ["quick", "full"])
 @pytest.mark.parametrize("workload", sorted(CATALOG))
-def test_workload_generation_rate(benchmark, workload):
-    """One paper program at quick scale and 32 processors: the generation
-    cost that perfbench's ``setup_s`` includes."""
+def test_workload_generation_rate(benchmark, workload, scale):
+    """One paper program at 32 processors: at quick scale, the generation
+    cost that perfbench's ``setup_s`` includes; at full scale, the
+    generator's default arguments."""
     generator, _description = CATALOG[workload]
-    program = benchmark(generator, **workload_args(workload, quick=True, n_procs=32))
+    program = benchmark(generator, **workload_args(workload, quick=scale == "quick", n_procs=32))
     assert program.n_procs == 32
 
 

@@ -167,7 +167,10 @@ class Processor:
                 return
             if kind == OP_WRITE:
                 block = blocks[p]
-                if ctrl.try_write(block, self.stamps.next()):
+                # One probe serves both try_write and, in this wake-up,
+                # write.
+                frame = ctrl.cache.lookup(block)
+                if ctrl.try_write(block, frame, self.stamps.next()):
                     breakdown.compute += hit_cycles
                     elapsed += hit_cycles
                     idx += 1
@@ -182,7 +185,7 @@ class Processor:
                     sim.schedule(elapsed, self._run)
                     return
                 self._stall_start = sim.now
-                status = ctrl.write(block, self.stamps.next(), self._write_done)
+                status = ctrl.write(block, frame, self.stamps.next(), self._write_done)
                 if status == "wait":
                     return
                 # WC: the write was buffered and its request issued.

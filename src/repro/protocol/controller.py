@@ -384,12 +384,12 @@ class CacheController:
         self.misses.read_hits += 1
         return True
 
-    def try_write(self, block, stamp):
-        """Fast path: absorb a write that needs no transaction — an
-        exclusive hit, or (WC) a coalescing merge into an outstanding
-        entry (the table's WRITE_HIT / WB_MERGE rows).  Returns False
-        otherwise, issuing nothing."""
-        frame = self.cache.lookup(block)
+    def try_write(self, block, frame, stamp):
+        """Fast path: absorb a write to ``block``, whose valid frame the
+        caller has just probed (``frame``, None for a miss), that needs no
+        transaction — an exclusive hit, or (WC) a coalescing merge into an
+        outstanding entry (the table's WRITE_HIT / WB_MERGE rows).  Returns
+        False otherwise, issuing nothing."""
         if frame is not None and frame.state == EXCLUSIVE:
             if self._tardis:
                 self._tardis_write_bump(frame)
@@ -418,8 +418,9 @@ class CacheController:
         or "read_wb")."""
         return self._dispatch(_EV_LOAD, _Ctx(self, block, frame, None, on_done))
 
-    def write(self, block, stamp, on_done):
-        """Processor store.
+    def write(self, block, frame, stamp, on_done):
+        """Processor store of ``block``, whose valid frame the caller has
+        just probed (``frame``, None for a miss).
 
         SC: returns DONE on an exclusive hit, else WAIT (``on_done`` at
         completion).  WC: returns DONE whenever the write was absorbed
@@ -427,7 +428,6 @@ class CacheController:
         buffer is full, with ``on_done(0, "wb_full")`` firing once the
         write has been accepted.
         """
-        frame = self.cache.lookup(block)
         ctx = _Ctx(self, block, frame, None, on_done, stamp, not self._wc)
         return self._dispatch(_EV_STORE, ctx)
 
@@ -440,7 +440,7 @@ class CacheController:
         return self._dispatch(_EV_SYNC_STORE, ctx)
 
     def _wc_write_retry(self, block, stamp, on_done):
-        status = self.write(block, stamp, on_done)
+        status = self.write(block, self.cache.lookup(block), stamp, on_done)
         if status == WAIT:
             return  # re-queued on the buffer with the same on_done
         on_done(0, "wb_full")

@@ -124,10 +124,12 @@ class Machine:
         # 1. deadlock hooks: bound methods of every component, which all
         #    hold the simulator.
         sim._deadlock_hooks.clear()
-        # 2. each Resource's prebound completion (a bound method of itself).
+        # 2. each Resource's prebound completion (a bound method of itself),
+        #    and (instrumented) each interface's depth probe, which holds
+        #    the network.
         controllers = self.controllers + self.directories
         for resource in network.interfaces + [ctrl.resource for ctrl in controllers]:
-            resource._on_finish = None
+            resource._on_finish = resource.depth_probe = None
         # 3. prebound message handlers of the controllers and the network.
         for ctrl in controllers:
             ctrl._on_message = None

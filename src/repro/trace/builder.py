@@ -14,6 +14,8 @@ from repro.trace.ops import (
     Trace,
 )
 
+_BUILT = "the trace is built: its builder takes no further ops"
+
 
 class TraceBuilder:
     """Builds one processor's :class:`~repro.trace.ops.Trace`.
@@ -22,7 +24,8 @@ class TraceBuilder:
     so interleaving ``compute``/``read``/``write`` calls in program order
     produces the compact encoding directly.  :meth:`extend` appends a
     whole run of ops from arrays into the same buffers, so per-op and bulk
-    appends mix freely.
+    appends mix freely.  :meth:`build` hands those buffers to the trace
+    without copying them, so a built builder takes no further ops.
 
     >>> b = TraceBuilder()
     >>> b.compute(10).read(0x40).write(0x40).barrier(0)
@@ -37,6 +40,7 @@ class TraceBuilder:
         self._kinds = array("B")
         self._addrs = array("q")
         self._pending_gap = 0
+        self._built = False
 
     def __repr__(self):
         return f"TraceBuilder(ops={len(self._kinds)})"
@@ -49,6 +53,8 @@ class TraceBuilder:
         return self
 
     def _emit(self, kind, addr):
+        if self._built:
+            raise TraceError(_BUILT)
         self._gaps.append(self._pending_gap)
         self._kinds.append(kind)
         self._addrs.append(int(addr))
@@ -78,6 +84,8 @@ class TraceBuilder:
         checked by :meth:`build`, as for single ops, except that a kind
         too large for the byte-wide buffer is refused here.
         """
+        if self._built:
+            raise TraceError(_BUILT)
         gaps = np.ascontiguousarray(gaps, dtype=np.int64)
         kinds = np.ascontiguousarray(kinds)
         addrs = np.ascontiguousarray(addrs, dtype=np.int64)
@@ -117,8 +125,13 @@ class TraceBuilder:
         return len(self._kinds)
 
     def build(self):
-        return Trace(
-            np.frombuffer(self._gaps, dtype=np.int64).copy(),
-            np.frombuffer(self._kinds, dtype=np.uint8).copy(),
-            np.frombuffer(self._addrs, dtype=np.int64).copy(),
+        """The trace, as arrays that view this builder's buffers (no
+        copy).  The builder then refuses further ops with a
+        :class:`~repro.errors.TraceError`."""
+        trace = Trace(
+            np.frombuffer(self._gaps, dtype=np.int64),
+            np.frombuffer(self._kinds, dtype=np.uint8),
+            np.frombuffer(self._addrs, dtype=np.int64),
         )
+        self._built = True
+        return trace

@@ -61,18 +61,22 @@ def em3d(
     priv_base = [ctx.alloc_words(p, max(private_words, 1)) for p in range(n_procs)]
 
     def build_edges():
+        # Per node, in this order: ``degree`` uniforms (an edge is remote
+        # below ``remote_frac``), the remote neighbours, the local ones.
+        rng = ctx.rng
         table = {}
         for proc in range(n_procs):
             own_lo = proc * nodes_per_proc
             own_hi = own_lo + nodes_per_proc
-            rows = []
-            for _node in range(nodes_per_proc):
-                n_remote = sum(1 for _ in range(degree) if ctx.rng.random() < remote_frac)
-                remote = spread_indices(ctx.rng, total, n_remote, exclude_range=(own_lo, own_hi))
-                n_local = degree - len(remote)
-                local = (own_lo + ctx.rng.integers(0, nodes_per_proc, size=n_local)).tolist()
-                rows.append(remote + local)
-            table[proc] = np.array(rows, dtype=np.int64).reshape(nodes_per_proc, degree)
+            rows = np.empty((nodes_per_proc, degree), dtype=np.int64)
+            for row in rows:
+                n_remote = int(np.count_nonzero(rng.random(degree) < remote_frac))
+                if n_remote:  # a ``choice`` of none would draw nothing
+                    remote = spread_indices(rng, total, n_remote, exclude_range=(own_lo, own_hi))
+                    n_remote = len(remote)
+                    row[:n_remote] = remote
+                row[n_remote:] = own_lo + rng.integers(0, nodes_per_proc, size=degree - n_remote)
+            table[proc] = rows
         return table
 
     e_edges = build_edges()  # E nodes read these H nodes

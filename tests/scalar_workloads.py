@@ -7,13 +7,14 @@ into :class:`ListBuilder`, the list-backed builder that the array-backed
 ``TraceBuilder`` replaced, so the comparison covers the builder too.
 Only ``sparse`` differs from its original loop: it distributes and
 sweeps ``n_procs * (x_words // n_procs)`` words, as the bulk generator
-does.
+does.  ``barnes`` and ``em3d``'s edge tables also define the order of
+their RNG draws: one ``rng.integers``/``rng.random`` call per value.
 """
 
 import numpy as np
 
 from repro.trace.ops import OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE, Trace
-from repro.workloads.base import WORD, WorkloadContext, spread_indices
+from repro.workloads.base import BLOCK, WORD, WorkloadContext, spread_indices
 
 N_ARRAYS = 3
 
@@ -73,6 +74,65 @@ def stream_private(ctx, proc, base, n_words, stride_words=8, read_frac=1.0):
     for word in range(0, n_words, stride_words):
         if read_frac >= 1.0 or ctx.rng.random() < read_frac:
             builder.read(base + word * WORD)
+
+
+def barnes(
+    n_procs=32,
+    bodies_per_proc=24,
+    cells=128,
+    locks=32,
+    gather=16,
+    imbalance=0.8,
+    iterations=3,
+    compute_per_interaction=6,
+    seed=404,
+):
+    ctx = _context("barnes", n_procs, seed)
+    cell_addr = [ctx.alloc.alloc(c % n_procs, BLOCK) for c in range(cells)]
+    cell_locks = [ctx.new_lock() for _ in range(locks)]
+    counts = [
+        max(1, round(bodies_per_proc * (1 + imbalance * p / max(1, n_procs - 1))))
+        for p in range(n_procs)
+    ]
+    body_addr = {
+        p: [ctx.alloc.alloc(p, BLOCK) for _ in range(counts[p])] for p in range(n_procs)
+    }
+
+    ctx.barrier_all()
+    for _iteration in range(iterations):
+        for proc in range(n_procs):
+            builder = ctx.builders[proc]
+            for body in range(counts[proc]):
+                cell = int(ctx.rng.integers(0, cells))
+                lock = cell_locks[cell % locks]
+                builder.compute(4)
+                builder.lock(lock)
+                builder.read(cell_addr[cell])
+                builder.compute(3)
+                builder.write(cell_addr[cell])
+                builder.unlock(lock)
+        ctx.barrier_all()
+        for proc in range(n_procs):
+            builder = ctx.builders[proc]
+            for body in range(counts[proc]):
+                for _ in range(gather):
+                    builder.read(cell_addr[int(ctx.rng.integers(0, cells))])
+                    builder.compute(compute_per_interaction)
+                for _ in range(2):
+                    other = int(ctx.rng.integers(0, n_procs))
+                    others = body_addr[other]
+                    builder.read(others[int(ctx.rng.integers(0, len(others)))])
+                builder.compute(compute_per_interaction * 2)
+                builder.write(body_addr[proc][body])
+        ctx.barrier_all()
+    return ctx.program(
+        seed=seed,
+        bodies=sum(counts),
+        cells=cells,
+        locks=locks,
+        iterations=iterations,
+        imbalance=imbalance,
+    )
 
 
 def sparse(

@@ -31,6 +31,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import Consistency, IdentifyScheme, SIMechanism, SystemConfig
+from repro.harness.configs import workload_args
 from repro.memory.cache import EXCLUSIVE, Cache
 from repro.network.message import Message
 from repro.obs.instrument import Instrument
@@ -316,10 +317,9 @@ def frame_hits(monkeypatch):
             return True
         return False
 
-    def counting_write(self, block, stamp):
-        frame = self.cache.lookup(block, touch=False)
+    def counting_write(self, block, frame, stamp):
         exclusive = frame is not None and frame.state == EXCLUSIVE
-        if try_write(self, block, stamp):
+        if try_write(self, block, frame, stamp):
             if exclusive:  # not a write-buffer merge
                 hits[kind(frame)] += 1
             return True
@@ -482,5 +482,50 @@ class TestMissHandoff:
         assert probes["read"] >= record.misses.read_misses > 100  # miss-heavy
         _, ref_record, _ = _run(_reference(config), program)
         assert probes["try_read"] > record.misses.read_misses
+        assert record == ref_record
+        assert record.events_fired == ref_record.events_fired
+
+    @pytest.mark.parametrize("workload, fields", [
+        ("barnes", {}),
+        ("sparse", {"consistency": Consistency.WC, "write_buffer_entries": 2}),
+    ], ids=["SC", "WC"])
+    def test_store_is_probed_once_per_wakeup(self, monkeypatch, workload, fields):
+        # A store that is no exclusive hit goes to try_write and then, in
+        # the same wake-up, to write: both take the frame the processor
+        # probed, so write does no Cache.lookup of its own.  (A WC retry
+        # after a full write buffer probes before calling write.)
+        calls = Counter()
+        write, lookup = CacheController.write, Cache.lookup
+        retry = CacheController._wc_write_retry
+        writing = []
+
+        def counting_retry(self, *args):
+            calls["retry"] += 1
+            return retry(self, *args)
+
+        def watched_write(self, *args):
+            calls["write"] += 1
+            writing.append(True)
+            try:
+                return write(self, *args)
+            finally:
+                writing.pop()
+
+        def counting_lookup(self, *args, **kwargs):
+            if writing:
+                calls["lookup_in_write"] += 1
+            return lookup(self, *args, **kwargs)
+
+        monkeypatch.setattr(CacheController, "write", watched_write)
+        monkeypatch.setattr(CacheController, "_wc_write_retry", counting_retry)
+        monkeypatch.setattr(Cache, "lookup", counting_lookup)
+        config = SystemConfig(n_processors=4, cache_size=16384,
+                              identify=IdentifyScheme.VERSION, **fields)
+        program = by_name(workload, **workload_args(workload, quick=True, n_procs=4))
+        _, record, _ = _run(config, program)
+        _, ref_record, _ = _run(_reference(config), program)
+        assert calls["write"] > 100
+        assert (calls["retry"] > 0) == bool(fields)
+        assert calls["lookup_in_write"] == 0
         assert record == ref_record
         assert record.events_fired == ref_record.events_fired

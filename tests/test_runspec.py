@@ -10,6 +10,9 @@ from repro.config import IdentifyScheme, SystemConfig
 from repro.errors import SimulationError
 from repro.harness.configs import paper_config, workload_args
 from repro.harness.runspec import RunSpec, SpecValidationError
+from repro.obs.analytics import AnalyticsInstrument
+from repro.obs.causal import CausalInstrument
+from repro.obs.instrument import Instrument
 from repro.stats.record import RunRecord
 from repro.system import Machine
 
@@ -119,6 +122,28 @@ class TestTeardown:
         config = paper_config(protocol, n_procs=4, check_invariants=True)
         spec = RunSpec.create("migratory", config, n_procs=4)
         assert _cyclic_garbage(spec) == 0
+
+    @pytest.mark.parametrize(
+        "instrument_cls", [Instrument, AnalyticsInstrument, CausalInstrument],
+        ids=lambda cls: cls.__name__,
+    )
+    @pytest.mark.parametrize("protocol", ["SC", "V", "W+V"])
+    def test_instrumented_machine_leaves_no_cyclic_garbage(self, instrument_cls, protocol):
+        config = paper_config(protocol, n_procs=4)
+        program = RunSpec.create("em3d", config, **workload_args("em3d", quick=True, n_procs=4)).build_program()
+
+        def run():
+            with Machine(config, program, instrument=instrument_cls()) as machine:
+                machine.run()
+
+        run()  # compiling a variant's tables leaves one-off garbage
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_machine_closed_after_detach_when_run_raises(self, monkeypatch):
         calls = []

@@ -52,6 +52,22 @@ class TestBuilder:
         builder = TraceBuilder().read(0).write(0)
         assert len(builder) == 2
 
+    def test_built_builder_refuses_further_ops(self):
+        # build() hands the builder's buffers to the trace uncopied.
+        builder = TraceBuilder().compute(2).read(0x40).write(0x80)
+        trace = builder.build()
+        assert not trace.addrs.flags.owndata
+        for append in (
+            lambda: builder.read(0xC0),
+            lambda: builder.barrier(1),
+            lambda: builder.extend([0], [OP_READ], [0xC0]),
+            lambda: builder.extend([], [], []),
+        ):
+            with pytest.raises(TraceError, match="trace is built"):
+                append()
+        assert len(builder) == 2
+        assert [trace.op(i) for i in range(2)] == [(2, OP_READ, 0x40), (0, OP_WRITE, 0x80)]
+
 
 class TestBulkAppend:
     def test_pending_compute_folds_into_first_op(self):
