@@ -146,15 +146,32 @@ def test_trace_generation_rate(benchmark):
     assert len(trace) == 20_000
 
 
-@pytest.mark.parametrize("scale", ["quick", "full"])
+@pytest.mark.parametrize("n_procs, scale", [(8, "quick"), (32, "quick"), (32, "full")],
+                         ids=["8-quick", "32-quick", "32-full"])
 @pytest.mark.parametrize("workload", sorted(CATALOG))
-def test_workload_generation_rate(benchmark, workload, scale):
-    """One paper program at 32 processors: at quick scale, the generation
-    cost that perfbench's ``setup_s`` includes; at full scale, the
-    generator's default arguments."""
+def test_workload_generation_rate(benchmark, workload, n_procs, scale):
+    """One paper program: at quick scale, the generation cost that
+    perfbench's ``setup_s`` includes (8 processors for ``sweep``, 32 for
+    ``coherence32``); at full scale, the generator's default arguments."""
     generator, _description = CATALOG[workload]
-    program = benchmark(generator, **workload_args(workload, quick=scale == "quick", n_procs=32))
-    assert program.n_procs == 32
+    args = workload_args(workload, quick=scale == "quick", n_procs=n_procs)
+    program = benchmark(generator, **args)
+    assert program.n_procs == n_procs
+
+
+@pytest.mark.parametrize("n_procs", [8, 32])
+def test_machine_build_rate(benchmark, n_procs):
+    """``Machine`` construction, the other half of perfbench's ``setup_s``:
+    one quick ``em3d`` machine, closed at once, as ``sweep`` (8
+    processors) and ``coherence32`` (32) build them."""
+    program = em3d(**workload_args("em3d", quick=True, n_procs=n_procs))
+    config = SystemConfig(n_processors=n_procs, cache_size=16 * KB)
+
+    def build():
+        with Machine(config, program) as machine:
+            return len(machine.controllers)
+
+    assert benchmark(build) == n_procs
 
 
 def test_end_to_end_simulation_rate(benchmark):

@@ -246,7 +246,7 @@ class _Ctx:
 class DirectoryController:
     """Directory controller for one home node."""
 
-    def __init__(self, sim, config, node, network, policy, instrument=None):
+    def __init__(self, sim, config, node, network, policy, instrument=None, ctable=None):
         self.sim = sim
         self.config = config
         self.node = node
@@ -262,9 +262,10 @@ class DirectoryController:
         self.stale_messages = 0
         self._wc = config.consistency is Consistency.WC
         self._states_scheme = config.identify is IdentifyScheme.STATES
-        self.variant = ProtocolVariant.from_config(config)
-        self.table = dir_table(self.variant)
-        self.ctable = compiled_dir_table(self.variant)
+        # ``Machine`` passes the compiled table all its nodes share.
+        if ctable is None:
+            ctable = compiled_dir_table(ProtocolVariant.from_config(config))
+        self.ctable = ctable
         self._decide = (
             self.ctable.decide if config.compiled_dispatch
             else self.ctable.decide_interpreted

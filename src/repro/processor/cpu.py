@@ -146,8 +146,10 @@ class Processor:
             if kind == OP_READ:
                 block = blocks[p]
                 # With direct execution on, ``fast.advance`` has just found
-                # this load missing: no second probe, here or in ``read``.
-                if fast is None and ctrl.try_read(block):
+                # this load missing.  Otherwise one probe serves both
+                # try_read and, in this wake-up, read.
+                frame = None if fast is not None else ctrl.cache.lookup(block)
+                if fast is None and ctrl.try_read(block, frame):
                     breakdown.compute += hit_cycles
                     elapsed += hit_cycles
                     idx += 1
@@ -162,7 +164,6 @@ class Processor:
                     sim.schedule(elapsed, self._run)
                     return
                 self._stall_start = sim.now
-                frame = None if fast is not None else ctrl.cache.lookup(block)
                 ctrl.read(block, frame, self._read_done)
                 return
             if kind == OP_WRITE:

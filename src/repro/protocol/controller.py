@@ -210,7 +210,7 @@ class CacheController:
     """Cache + controller + write buffer for one node."""
 
     def __init__(self, sim, config, node, network, home_map, misses, monitor=None,
-                 instrument=None):
+                 instrument=None, ctable=None):
         self.sim = sim
         self.config = config
         self.node = node
@@ -219,9 +219,10 @@ class CacheController:
         self.misses = misses
         self.monitor = monitor
         self.obs = instrument
-        self.variant = ProtocolVariant.from_config(config)
-        self.table = cache_table(self.variant)
-        self.ctable = compiled_cache_table(self.variant)
+        # ``Machine`` passes the compiled table all its nodes share.
+        if ctable is None:
+            ctable = compiled_cache_table(ProtocolVariant.from_config(config))
+        self.ctable = ctable
         # One bound decide per controller: the compiled guard-tree walk, or
         # the original interpreter (``dsi-sim run --no-fastpath``).
         self._decide = (
@@ -367,12 +368,13 @@ class CacheController:
     # ------------------------------------------------------------------
     # Processor interface
     # ------------------------------------------------------------------
-    def try_read(self, block):
-        """Fast path: perform a read *hit* with no simulated latency beyond
-        the hit cost (which the processor folds into computation).  Returns
-        False on a miss without issuing anything (mirrors the table's
-        READ_HIT rows; misses go through ``read``)."""
-        frame = self.cache.lookup(block)
+    def try_read(self, block, frame):
+        """Fast path: perform a read *hit* on ``block``, whose valid frame
+        the caller has just probed (``frame``, None for a miss), with no
+        simulated latency beyond the hit cost (which the processor folds
+        into computation).  Returns False on a miss without issuing
+        anything (mirrors the table's READ_HIT rows; misses go through
+        ``read``)."""
         if frame is None:
             return False
         if self._tardis:

@@ -15,16 +15,17 @@ with ``with`` (or calls :meth:`Machine.close`), which frees it as soon as
 it goes out of scope instead of at the cyclic collector's next pass.
 """
 
+from repro.coherence.variants import ProtocolVariant
 from repro.config import SystemConfig
 from repro.core.identify import make_policy
-from repro.directory.controller import DirectoryController
+from repro.directory.controller import DirectoryController, compiled_dir_table
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigError, SimulationError
 from repro.memory.address import RoundRobinHome, SegmentHome
 from repro.network.network import Network
 from repro.processor.cpu import Processor, StampSource
 from repro.processor.sync import BarrierManager, LockManager
-from repro.protocol.controller import CacheController
+from repro.protocol.controller import CacheController, compiled_cache_table
 from repro.protocol.monitor import CoherenceMonitor, TardisMonitor
 from repro.stats.counters import MessageCounters, MissCounters
 from repro.stats.report import RunResult
@@ -62,16 +63,20 @@ class Machine:
         else:
             self.monitor = None
         policy = make_policy(config)
+        # One protocol variant, and one compiled table per side, for all nodes.
+        variant = ProtocolVariant.from_config(config)
+        dir_ctable, cache_ctable = compiled_dir_table(variant), compiled_cache_table(variant)
         self.directories = [
             DirectoryController(
-                self.sim, config, node, self.network, policy, instrument=instrument
+                self.sim, config, node, self.network, policy, instrument=instrument,
+                ctable=dir_ctable,
             )
             for node in range(config.n_processors)
         ]
         self.controllers = [
             CacheController(
                 self.sim, config, node, self.network, self.home_map, self.misses,
-                self.monitor, instrument=instrument,
+                self.monitor, instrument=instrument, ctable=cache_ctable,
             )
             for node in range(config.n_processors)
         ]

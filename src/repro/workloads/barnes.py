@@ -21,26 +21,7 @@ per-element bounds, in the order of the per-body loop
 import numpy as np
 
 from repro.trace.ops import OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE
-from repro.workloads.base import BLOCK, WorkloadContext
-
-#: Bound of a raw 32-bit draw: the body-index slot, whose bound depends
-#: on the processor drawn just before it.
-RAW = 2**32
-
-
-def _replay_bounded(raw, bound):
-    """numpy's bounded draw (Lemire's rule) applied to raw 32-bit words.
-
-    Returns the values ``rng.integers(0, bound)`` would give from those
-    words, and where it would give them from that word alone.  It would
-    not where the low half of ``raw * bound`` falls below
-    ``(2**32 - bound) % bound`` (numpy rejects the word and draws again),
-    nor for a bound of 1 (numpy draws nothing).  Bounds stay below
-    ``2**31``, so ``raw * bound`` fits an int64.
-    """
-    scaled = raw * bound
-    replayed = (bound > 1) & ((scaled & (RAW - 1)) >= (RAW - bound) % bound)
-    return scaled >> 32, replayed
+from repro.workloads.base import BLOCK, RAW, WorkloadContext, replay_bounded
 
 
 def _scalar_draws(rng, counts, cells, gather):
@@ -72,7 +53,7 @@ def _iteration_draws(rng, counts, cells, gather):
     state = rng.bit_generator.state
     draws = rng.integers(0, bounds)
     force = draws[n_bodies:].reshape(n_bodies, gather + 4)
-    picks, replayed = _replay_bounded(force[:, gather + 1 :: 2], counts[force[:, gather::2]])
+    picks, replayed = replay_bounded(force[:, gather + 1 :: 2], counts[force[:, gather::2]])
     if replayed.all():
         force[:, gather + 1 :: 2] = picks
         return draws[:n_bodies], force

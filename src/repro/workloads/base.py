@@ -12,6 +12,10 @@ WORD = 4
 #: cache block size assumed by the generators (matches the paper's 32 bytes)
 BLOCK = 32
 
+#: Bound of a raw 32-bit draw: ``rng.integers(0, RAW)`` returns one
+#: 32-bit half of a PCG64 word unchanged.
+RAW = 2**32
+
 
 class WorkloadContext:
     """Allocator + per-processor trace builders + synchronization helpers.
@@ -99,3 +103,18 @@ def spread_indices(rng, total, count, exclude_range=None):
         return []
     picks = rng.choice(pool, size=min(count, pool), replace=False)
     return [int(p) if p < lo else int(p) + (hi - lo) for p in picks]
+
+
+def replay_bounded(raw, bound):
+    """numpy's bounded draw (Lemire's rule) applied to raw 32-bit words.
+
+    Returns the values ``rng.integers(0, bound)`` would give from those
+    words, and where it would give them from that word alone.  It would
+    not where the low half of ``raw * bound`` falls below
+    ``(2**32 - bound) % bound`` (numpy rejects the word and draws again),
+    nor for a bound of 1 (numpy draws nothing).  Bounds stay below
+    ``2**31``, so ``raw * bound`` fits an int64.
+    """
+    scaled = raw * bound
+    replayed = (bound > 1) & ((scaled & (RAW - 1)) >= (RAW - bound) % bound)
+    return scaled >> 32, replayed

@@ -25,6 +25,7 @@ ways:
   interpreted records must match, ``events_fired`` included.
 """
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from repro.harness.configs import workload_args
 from repro.memory.cache import EXCLUSIVE, Cache
 from repro.network.message import Message
 from repro.obs.instrument import Instrument
+from repro.processor.cpu import Processor
 from repro.protocol.controller import CacheController
 from repro.stats.record import RunRecord
 from repro.system import Machine
@@ -310,9 +312,8 @@ def frame_hits(monkeypatch):
     def kind(frame):
         return "tearoff" if frame.tearoff else "marked" if frame.s_bit else "plain"
 
-    def counting_read(self, block):
-        frame = self.cache.lookup(block, touch=False)
-        if try_read(self, block):
+    def counting_read(self, block, frame):
+        if try_read(self, block, frame):
             hits[kind(frame)] += 1
             return True
         return False
@@ -452,9 +453,9 @@ class TestMissHandoff:
         try_read, read, lookup = CacheController.try_read, CacheController.read, Cache.lookup
         reading = []
 
-        def counting_try_read(self, block):
+        def counting_try_read(self, block, frame):
             probes["try_read"] += 1
-            return try_read(self, block)
+            return try_read(self, block, frame)
 
         def watched_read(self, *args):
             probes["read"] += 1
@@ -484,6 +485,48 @@ class TestMissHandoff:
         assert probes["try_read"] > record.misses.read_misses
         assert record == ref_record
         assert record.events_fired == ref_record.events_fired
+
+    @pytest.mark.parametrize("fields", [
+        {"tardis": True},
+        {"identify": IdentifyScheme.VERSION, "check_invariants": True},
+    ], ids=["TARDIS", "monitor"])
+    def test_load_is_probed_once_per_wakeup(self, monkeypatch, fields):
+        # Under Tardis or the invariant monitor the interpreted loop runs
+        # every op: it probes each load and store once and hands the
+        # frame to try_read/try_write and, in the same wake-up, to
+        # read/write.  So the lookups made by Processor._run and inside
+        # try_read number exactly its try_read and try_write calls.
+        calls = Counter()
+        lookup, read = Cache.lookup, CacheController.read
+        try_read, try_write = CacheController.try_read, CacheController.try_write
+        probing = {Processor._run.__code__, try_read.__code__}
+
+        def counting_lookup(self, *args, **kwargs):
+            if sys._getframe(1).f_code in probing:
+                calls["probe"] += 1
+            return lookup(self, *args, **kwargs)
+
+        def counting_try_read(self, *args):
+            calls["op"] += 1
+            return try_read(self, *args)
+
+        def counting_try_write(self, *args):
+            calls["op"] += 1
+            return try_write(self, *args)
+
+        def counting_read(self, *args):
+            calls["read"] += 1
+            return read(self, *args)
+
+        monkeypatch.setattr(Cache, "lookup", counting_lookup)
+        monkeypatch.setattr(CacheController, "try_read", counting_try_read)
+        monkeypatch.setattr(CacheController, "try_write", counting_try_write)
+        monkeypatch.setattr(CacheController, "read", counting_read)
+        config = SystemConfig(n_processors=4, cache_size=16384, **fields)
+        program = by_name("barnes", **workload_args("barnes", quick=True, n_procs=4))
+        _, record, _ = _run(config, program)
+        assert calls["read"] >= record.misses.read_misses > 100
+        assert calls["probe"] == calls["op"] > calls["read"]
 
     @pytest.mark.parametrize("workload, fields", [
         ("barnes", {}),
