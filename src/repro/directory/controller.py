@@ -61,7 +61,6 @@ from repro.coherence.compile import (
 from repro.coherence.diagnostics import directory_diagnostic
 from repro.coherence.dir_table import dir_table
 from repro.coherence.events import DirAction as A, DirEvent as E, DirState as S
-from repro.coherence.variants import ProtocolVariant
 from repro.config import Consistency, IdentifyScheme
 from repro.core.mechanisms import make_lease_policy
 from repro.directory.state import (
@@ -246,7 +245,7 @@ class _Ctx:
 class DirectoryController:
     """Directory controller for one home node."""
 
-    def __init__(self, sim, config, node, network, policy, instrument=None, ctable=None):
+    def __init__(self, sim, config, node, network, policy, ctable, instrument=None):
         self.sim = sim
         self.config = config
         self.node = node
@@ -262,9 +261,8 @@ class DirectoryController:
         self.stale_messages = 0
         self._wc = config.consistency is Consistency.WC
         self._states_scheme = config.identify is IdentifyScheme.STATES
-        # ``Machine`` passes the compiled table all its nodes share.
-        if ctable is None:
-            ctable = compiled_dir_table(ProtocolVariant.from_config(config))
+        # The compiled table all of a machine's home nodes share
+        # (:func:`compiled_dir_table`).
         self.ctable = ctable
         self._decide = (
             self.ctable.decide if config.compiled_dispatch

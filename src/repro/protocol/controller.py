@@ -51,7 +51,6 @@ from repro.coherence.diagnostics import cache_diagnostic
 from repro.coherence.events import CacheAction as A
 from repro.coherence.events import CacheEvent as E
 from repro.coherence.events import CacheState as CS
-from repro.coherence.variants import ProtocolVariant
 from repro.config import Consistency, IdentifyScheme
 from repro.core.identify import InvalidationHistory
 from repro.core.mechanisms import make_mechanism
@@ -209,8 +208,8 @@ class _Ctx:
 class CacheController:
     """Cache + controller + write buffer for one node."""
 
-    def __init__(self, sim, config, node, network, home_map, misses, monitor=None,
-                 instrument=None, ctable=None):
+    def __init__(self, sim, config, node, network, home_map, misses, ctable,
+                 monitor=None, instrument=None):
         self.sim = sim
         self.config = config
         self.node = node
@@ -219,9 +218,8 @@ class CacheController:
         self.misses = misses
         self.monitor = monitor
         self.obs = instrument
-        # ``Machine`` passes the compiled table all its nodes share.
-        if ctable is None:
-            ctable = compiled_cache_table(ProtocolVariant.from_config(config))
+        # The compiled table all of a machine's nodes share
+        # (:func:`compiled_cache_table`).
         self.ctable = ctable
         # One bound decide per controller: the compiled guard-tree walk, or
         # the original interpreter (``dsi-sim run --no-fastpath``).

@@ -68,15 +68,15 @@ class Machine:
         dir_ctable, cache_ctable = compiled_dir_table(variant), compiled_cache_table(variant)
         self.directories = [
             DirectoryController(
-                self.sim, config, node, self.network, policy, instrument=instrument,
-                ctable=dir_ctable,
+                self.sim, config, node, self.network, policy, dir_ctable,
+                instrument=instrument,
             )
             for node in range(config.n_processors)
         ]
         self.controllers = [
             CacheController(
                 self.sim, config, node, self.network, self.home_map, self.misses,
-                self.monitor, instrument=instrument, ctable=cache_ctable,
+                cache_ctable, self.monitor, instrument=instrument,
             )
             for node in range(config.n_processors)
         ]

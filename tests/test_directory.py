@@ -7,9 +7,10 @@ notifications consumed as acknowledgments, stale acks dropped).
 """
 
 
+from repro.coherence.variants import ProtocolVariant
 from repro.config import Consistency, IdentifyScheme, SystemConfig
 from repro.core.identify import make_policy
-from repro.directory.controller import DirectoryController
+from repro.directory.controller import DirectoryController, compiled_dir_table
 from repro.directory.state import (
     DIR_EXCLUSIVE,
     DIR_IDLE,
@@ -43,7 +44,10 @@ def make_dir(consistency=Consistency.SC, identify=IdentifyScheme.NONE, node=0, *
     sim = Simulator()
     config = SystemConfig(n_processors=4, consistency=consistency, identify=identify, **over)
     network = FakeNetwork()
-    controller = DirectoryController(sim, config, node, network, make_policy(config))
+    ctable = compiled_dir_table(ProtocolVariant.from_config(config))
+    controller = DirectoryController(
+        sim, config, node, network, make_policy(config), ctable
+    )
     return sim, controller, network
 
 

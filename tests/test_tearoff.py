@@ -2,10 +2,11 @@
 directory path (BEGIN_MIGRATORY_TXN and its acknowledgment handling),
 driven through the same fake network as test_directory.py."""
 
+from repro.coherence.variants import ProtocolVariant
 from repro.config import Consistency, IdentifyScheme, SystemConfig
 from repro.core.identify import make_policy
 from repro.core.tearoff import TearoffTracker
-from repro.directory.controller import DirectoryController
+from repro.directory.controller import DirectoryController, compiled_dir_table
 from repro.directory.state import DIR_EXCLUSIVE, DIR_IDLE, DIR_SHARED
 from repro.engine.simulator import Simulator
 from repro.network.message import Message, MsgKind
@@ -33,7 +34,10 @@ def make_dir(consistency=Consistency.SC, identify=IdentifyScheme.NONE, **over):
         n_processors=4, consistency=consistency, identify=identify, **over
     )
     network = FakeNetwork()
-    controller = DirectoryController(sim, config, 0, network, make_policy(config))
+    ctable = compiled_dir_table(ProtocolVariant.from_config(config))
+    controller = DirectoryController(
+        sim, config, 0, network, make_policy(config), ctable
+    )
     return sim, controller, network
 
 
