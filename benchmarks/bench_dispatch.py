@@ -17,7 +17,9 @@ All three produce bit-identical :class:`~repro.stats.record.RunRecord`
 values (proved by :mod:`repro.harness.equivalence`); this module measures
 what that invisibility costs/buys.  Runs under pytest-benchmark
 (``pytest benchmarks/bench_dispatch.py --benchmark-only``) or standalone
-(``python benchmarks/bench_dispatch.py``) — CI uses the standalone form.
+(``python benchmarks/bench_dispatch.py``).  CI runs the pytest form once,
+untimed (``--benchmark-disable``), so an API change that breaks it fails
+there.
 """
 
 import os

@@ -26,9 +26,6 @@ Examples::
                                      # ASCII causal timeline
     dsi-sim analyze migratory        # sharing-pattern classification +
                                      # DSI-accuracy report + runtime audit
-    dsi-sim bench --suite quick      # benchmark snapshot -> BENCH_*.json
-    dsi-sim bench --compare old.json new.json --threshold 0.15
-                                     # regression gate (exit 1 on regression)
     dsi-sim check-protocol           # model-check every protocol variant
     dsi-sim check-protocol --variant 'WC+DSI(V)+FIFO+TO'
                                      # one variant, with its trace on failure
@@ -116,12 +113,7 @@ def build_parser():
         help="trace/why/analyze: workload name (equivalent to --workload); "
         "report: the telemetry log",
     )
-    parser.add_argument(
-        "--procs",
-        type=int,
-        default=None,
-        help="machine size (default 32; bench: the suite's pinned size)",
-    )
+    parser.add_argument("--procs", type=int, default=32, help="machine size (default 32)")
     parser.add_argument(
         "--quick", action="store_true", help="reduced workload sizes (fast sanity run)"
     )
@@ -194,7 +186,7 @@ def build_parser():
         "-o",
         "--output",
         help="gen: output .npz path; why: write the JSON report here "
-        "(in addition to stdout); bench: snapshot path",
+        "(in addition to stdout)",
     )
     parser.add_argument(
         "--show-trace",
@@ -215,7 +207,7 @@ def build_parser():
     parser.add_argument(
         "--log",
         metavar="FILE",
-        help="experiments/all/ablations/bars/bench: write the sweep's "
+        help="experiments/all/ablations/bars: write the sweep's "
         "telemetry events (sweep and run events) as JSONL, overwriting "
         "FILE; analyze with 'dsi-sim report FILE'",
     )
@@ -223,9 +215,9 @@ def build_parser():
         "--profile",
         choices=("cprofile",),
         default=None,
-        help="experiments/all/ablations/bars/bench: wrap each executed run "
+        help="experiments/all/ablations/bars: wrap each executed run "
         "in cProfile and write per-run pstats sidecars keyed by RunSpec "
-        "hash; 'report' and 'bench' print the merged hot-function table.  "
+        "hash; 'report' prints the merged hot-function table.  "
         "Never affects results or the result cache",
     )
     parser.add_argument(
@@ -278,53 +270,6 @@ def build_parser():
         action="store_true",
         help="analyze: skip the runtime message ledger and quiesce-time "
         "coherence audit",
-    )
-    # bench options
-    parser.add_argument(
-        "--suite",
-        choices=("smoke", "quick", "full"),
-        default="quick",
-        help="bench: pinned run suite (default quick)",
-    )
-    parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="bench: compare two BENCH_*.json snapshots instead of running",
-    )
-    parser.add_argument(
-        "--history",
-        nargs="?",
-        const=".",
-        default=None,
-        metavar="DIR",
-        help="bench: list every BENCH_*.json snapshot under DIR (default "
-        "'.') oldest-first with speed drift per suite, instead of "
-        "running",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        metavar="FRAC",
-        help="bench --compare: fail when cycles/s drops more than FRAC "
-        "(default 0.15)",
-    )
-    parser.add_argument(
-        "--sim-threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="bench --compare: also fail when deterministic quantities "
-        "(exec_time, messages) drift more than FRAC in either direction",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="bench: run the suite N times, keep each run's fastest wall "
-        "time (default 1)",
     )
     # check-protocol options
     parser.add_argument(
@@ -438,6 +383,9 @@ def _dispatch(argv):
     if args.jobs is not None and args.jobs < 1:
         print("--jobs must be >= 1 (1 = serial, in-process)", file=sys.stderr)
         return 2
+    if args.procs < 1:
+        print("--procs must be >= 1", file=sys.stderr)
+        return 2
     verb = VERBS.get(args.experiment)
     if verb is None and args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
@@ -446,8 +394,6 @@ def _dispatch(argv):
     if refusal is not None:
         print(refusal, file=sys.stderr)
         return 2
-    if args.procs is None and args.experiment != "bench":
-        args.procs = 32  # bench's suites pin their own size
     if verb is None:
         return _experiments(args, (args.experiment,))
     return verb(args)
@@ -1080,116 +1026,6 @@ def _analyze(args):
     return 0
 
 
-def _bench(args):
-    """Benchmark observatory: run a pinned suite into a BENCH_*.json
-    snapshot, or compare two snapshots (exit 1 on regression)."""
-    from repro.harness import bench
-
-    try:
-        if args.history:
-            snapshots, skipped = bench.collect_history(args.history)
-            if not snapshots and not skipped:
-                print(f"bench: no BENCH_*.json under {args.history!r}", file=sys.stderr)
-                return 2
-            if args.as_json:
-                print(json.dumps(
-                    {
-                        "snapshots": [payload for _path, payload in snapshots],
-                        "skipped": [
-                            {"path": path, "reason": reason}
-                            for path, reason in skipped
-                        ],
-                    },
-                    indent=2,
-                ))
-            else:
-                print(bench.format_history(snapshots))
-                for path, reason in skipped:
-                    print(f"# skipped {path}: {reason}", file=sys.stderr)
-            return 0
-        if args.compare:
-            # The NEW side must always be valid — a broken fresh snapshot
-            # is an error regardless of baseline state.
-            new = bench.load_payload(args.compare[1])
-            try:
-                old = bench.load_payload(args.compare[0])
-            except ConfigError as exc:
-                # First run on a fresh machine/CI cache (or a baseline
-                # whose schema has rotted): nothing to compare against.
-                # Promote the new snapshot to baseline and succeed — the
-                # *next* run gets a real comparison.
-                print(f"# no baseline ({exc}) — recording new baseline")
-                bench.write_payload(new, args.compare[0])
-                print(f"# wrote baseline -> {args.compare[0]}", file=sys.stderr)
-                return 0
-            rows, regressions = bench.compare(
-                old, new,
-                threshold=args.threshold,
-                sim_threshold=args.sim_threshold,
-            )
-            if args.as_json:
-                print(json.dumps(
-                    {"rows": rows, "regressions": len(regressions)}, indent=2
-                ))
-            else:
-                print(bench.format_compare(rows, threshold=args.threshold))
-                print()
-                if regressions:
-                    print(f"# {len(regressions)} regression(s)")
-                else:
-                    print("# no regressions")
-            return 1 if regressions else 0
-        payload = bench.run_bench(
-            suite=args.suite,
-            procs=args.procs,
-            jobs=args.jobs or 1,
-            repeat=args.repeat,
-            verbose=args.verbose,
-            telemetry=_telemetry_config(args),
-        )
-    except ConfigError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    path = args.output or bench.default_path()
-    bench.write_payload(payload, path)
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [
-            [
-                run["workload"], run["protocol"], run["exec_time"],
-                f"{run['wall_time_s']:.2f}" if run["wall_time_s"] else "-",
-                f"{run['sim_cycles_per_s'] / 1000:.0f}k"
-                if run["sim_cycles_per_s"] else "-",
-                run["network_messages"],
-            ]
-            for run in payload["runs"]
-        ]
-        print(format_table(
-            ["workload", "proto", "exec_time", "wall_s", "cyc/s", "messages"],
-            rows,
-            title=f"bench suite '{payload['suite']}' "
-            f"(procs={payload['procs']}, repeat={payload['repeat']})",
-        ))
-        totals = payload["totals"]
-        speed = totals["sim_cycles_per_s"]
-        print()
-        print(
-            f"# total {totals['wall_time_s']:.1f}s wall, "
-            f"{totals['sim_cycles']} simulated cycles"
-            + (f", {speed / 1000:.0f}k cycles/s" if speed else "")
-        )
-        profiles = payload.get("profiles")
-        if profiles and profiles["sidecars"]:
-            from repro.harness.telemetry import format_profile_table, profile_table
-
-            rows, merged = profile_table(profiles["sidecars"], top=args.top)
-            print()
-            print(format_profile_table(rows, merged))
-    print(f"# wrote bench snapshot -> {path}", file=sys.stderr)
-    return 0
-
-
 def _report(args):
     """Post-hoc sweep analysis of a harness telemetry log (``--log``):
     worker utilization, queue wait vs execute time, cache-hit breakdown,
@@ -1262,7 +1098,7 @@ def _generate(args):
 
 #: Verbs that run a RunPool sweep, besides the experiment ids: the only
 #: ones ``--log``/``--profile``/``--profile-dir`` act on.
-SWEEP_VERBS = ("all", "ablations", "bars", "bench")
+SWEEP_VERBS = ("all", "ablations", "bars")
 
 #: Every verb besides the experiment ids -> its handler.  ``list``, the
 #: ``--help`` text and ``_dispatch`` all read this one table.
@@ -1279,7 +1115,6 @@ VERBS = {
     "analyze": _analyze,
     "describe": _describe,
     "gen": _generate,
-    "bench": _bench,
     "report": _report,
     "check-protocol": _check_protocol,
 }

@@ -34,7 +34,7 @@ from repro.coherence.variants import (
 )
 from repro.config import Consistency, SystemConfig
 from repro.errors import ConfigError
-from repro.harness.configs import SMALL_CACHE, WORKLOADS, workload_args
+from repro.harness.configs import SMALL_CACHE, WORKLOADS, paper_config, workload_args
 from repro.harness.runspec import RunSpec
 
 #: processor count for the sweep; small enough that 2 runs per pair stay
@@ -123,20 +123,43 @@ def localize_layer(workload, config, wl_args):
 # ----------------------------------------------------------------------
 # Telemetry transparency: observed runs vs bare runs
 # ----------------------------------------------------------------------
+#: The telemetry proof's two spec lists as (workloads, protocols,
+#: processors), each workload at quick scale under each protocol.
+#: Identity observes three short synthetic runs; reconciliation
+#: sweeps twelve quick paper specs across base, weak consistency,
+#: DSI-with-versions and Tardis.
+TELEMETRY_IDENTITY = (("producer_consumer",), ("SC", "V", "TARDIS"), 4)
+TELEMETRY_SWEEP = (("em3d", "sparse", "tomcatv"), ("SC", "W", "V", "TARDIS"), 8)
+
+
+def telemetry_specs(workloads, protocols, n_procs):
+    """One quick-scale spec per (workload, protocol), workload-major."""
+    return [
+        RunSpec.create(
+            workload,
+            paper_config(protocol, n_procs=n_procs),
+            **workload_args(workload, quick=True, n_procs=n_procs),
+        )
+        for workload in workloads
+        for protocol in protocols
+    ]
+
+
 def sweep_telemetry(jobs=2, out=None):
     """Prove the harness observatory is invisible to results.
 
     Two obligations (the proof for ``repro.harness.telemetry``):
 
-    1. *Identity*: every smoke-suite spec run under full telemetry — the
-       JSONL log and cProfile sidecars — yields a
+    1. *Identity*: every :data:`TELEMETRY_IDENTITY` spec run under full
+       telemetry — the JSONL log and cProfile sidecars — yields a
        :class:`~repro.stats.record.RunRecord` equal to the bare run
        (record equality already excludes the wall-time fields).
-    2. *Reconciliation*: a quick-suite sweep under ``--log`` (cold pass
-       executing everything, warm pass serving everything from cache)
-       produces a schema-valid JSONL whose terminal events reconcile
-       exactly with ``RunPool.manifest()`` — every spec exactly once per
-       pass as cached or finished, zero lost events.
+    2. *Reconciliation*: a :data:`TELEMETRY_SWEEP` sweep under
+       ``--log`` (cold pass executing everything, warm pass serving
+       everything from cache) produces a schema-valid JSONL whose
+       terminal events reconcile exactly with ``RunPool.manifest()`` —
+       every spec exactly once per pass as cached or finished, zero
+       lost events.
 
     Returns failure tuples ``(check, subject, diffs, layer)``; empty
     means the proof holds.
@@ -144,13 +167,12 @@ def sweep_telemetry(jobs=2, out=None):
     import tempfile
 
     from repro.harness import telemetry as T
-    from repro.harness.bench import suite_specs
     from repro.harness.runpool import RunPool
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="dsi-telemetry-") as tmp:
         # -- 1: record identity under full observation ------------------
-        specs = [spec for _w, _p, spec in suite_specs("smoke")]
+        specs = telemetry_specs(*TELEMETRY_IDENTITY)
         bare = RunPool(jobs=1).run_batch(specs)
         observed_cfg = T.TelemetryConfig(
             log_path=os.path.join(tmp, "identity.jsonl"),
@@ -171,12 +193,11 @@ def sweep_telemetry(jobs=2, out=None):
         if out is not None:
             mark = "ok" if not failures else "DIFF"
             print(
-                f"telemetry identity (smoke suite, log+profile): "
-                f"{len(specs)} specs {mark}",
+                f"telemetry identity (log+profile): {len(specs)} specs {mark}",
                 file=out,
             )
         # -- 2: log/manifest reconciliation over a real sweep ------------
-        quick = [spec for _w, _p, spec in suite_specs("quick")]
+        quick = telemetry_specs(*TELEMETRY_SWEEP)
         log_path = os.path.join(tmp, "sweep.jsonl")
         pool = RunPool(
             jobs=jobs,
@@ -191,10 +212,10 @@ def sweep_telemetry(jobs=2, out=None):
         events = T.load_log(log_path)  # validates every line's schema
         problems = T.reconcile(events, pool.manifest())
         if problems:
-            failures.append(("reconcile", "quick-suite --log sweep", problems, "harness"))
+            failures.append(("reconcile", "--log sweep", problems, "harness"))
         if out is not None:
             print(
-                f"telemetry reconcile (quick suite, jobs={jobs}): "
+                f"telemetry reconcile (jobs={jobs}): "
                 f"{len(events)} events, {pool.executed} executed + "
                 f"{pool.cache_hits} cached "
                 f"{'ok' if not problems else 'MISMATCH'}",
@@ -260,15 +281,15 @@ def main(argv=None):
         "--telemetry",
         action="store_true",
         help="prove the harness observatory invisible: telemetry/profile "
-        "runs yield RunRecords identical to bare runs, and a quick-suite "
+        "runs yield RunRecords identical to bare runs, and a quick-scale "
         "--log sweep reconciles exactly with the pool manifest",
     )
     args = parser.parse_args(argv)
 
     if args.telemetry:
         print(
-            "# telemetry transparency sweep: record identity (smoke suite) + "
-            "log/manifest reconciliation (quick suite)"
+            "# telemetry transparency sweep: record identity + "
+            "log/manifest reconciliation"
         )
         failures = sweep_telemetry(out=sys.stdout)
         if failures:

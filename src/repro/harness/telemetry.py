@@ -35,7 +35,7 @@ Host profiling
     ``pstats`` sidecar keyed by the RunSpec content hash
     (:func:`profile_sidecar`); :func:`profile_table` merges any number
     of sidecars into one top-N hot-function table for ``dsi-sim
-    report`` and ``dsi-sim bench``.
+    report``.
 """
 
 import json
@@ -578,7 +578,7 @@ def profile_table(paths, top=15):
 
     Returns ``(rows, merged_count)`` where each row is
     ``[function, ncalls, tottime_s, cumtime_s]`` sorted by cumulative
-    time — the table ``dsi-sim report``/``bench`` print so perf PRs stop
+    time — the table ``dsi-sim report`` prints so perf PRs stop
     guessing where host time goes."""
     stats, merged = merge_profiles(paths)
     if stats is None:

@@ -2,10 +2,10 @@
 
 The full proof — every variant of
 :func:`repro.harness.equivalence.all_variants` on every paper workload —
-runs via ``python -m repro.harness.equivalence`` (CI's bench job and the
-``DSI_EQUIV_FULL=1`` gate below).  Here a representative spine of the
-variant space runs on two workloads at small scale so the tier-1 suite
-catches a divergence in seconds.
+runs via ``python -m repro.harness.equivalence`` (CI's ``check-protocol``
+job and the ``DSI_EQUIV_FULL=1`` gate below).  Here a representative
+spine of the variant space runs on two workloads at small scale so the
+tier-1 suite catches a divergence in seconds.
 """
 
 import os

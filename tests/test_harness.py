@@ -200,6 +200,35 @@ class TestCli:
     def test_unknown(self, capsys):
         assert cli.main(["bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(argv + ["--procs", value], id=f"{argv[0]}-procs{value}")
+            for argv in (
+                ["run", "--workload", "em3d", "--quick"],
+                ["why", "em3d", "--quick"],
+                ["trace", "em3d", "--quick"],
+                ["gen", "--workload", "ocean", "--quick", "-o", "ocean.npz"],
+                ["analyze", "migratory"],
+                ["figure5", "--quick"],
+                ["bars", "--quick"],
+                ["all", "--quick"],
+                ["ablation:fifo_depth", "--quick"],
+                ["figure2"],
+            )
+            for value in ("0", "-1")
+        ]
+        + [pytest.param(["figure2", "--jobs", "0"], id="figure2-jobs0")],
+    )
+    def test_size_below_one_is_refused_in_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{argv[-2]} must be >= 1")
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_experiment_quick(self, capsys):
         assert cli.main(["figure5", "--quick", "--procs", "4"]) == 0
         out = capsys.readouterr().out

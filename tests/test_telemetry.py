@@ -3,7 +3,6 @@ RunSpec observer hook, profiling sidecars, reporting, cache neutrality,
 and the CLI's refusal of harness flags where they do nothing."""
 
 import io
-import json
 import multiprocessing
 import os
 
@@ -706,22 +705,6 @@ class TestCli:
             err = capsys.readouterr().err
             assert "no valid telemetry events" in err
             assert "bad line" in err
-
-    def test_bench_with_telemetry(self, tmp_path, capsys, monkeypatch):
-        from repro.harness import cli
-
-        monkeypatch.chdir(tmp_path)
-        log = str(tmp_path / "bench.jsonl")
-        out = str(tmp_path / "bench-snap.json")
-        assert cli.main([
-            "bench", "--suite", "smoke", "--json", "-o", out,
-            "--log", log, "--profile", "cprofile",
-            "--profile-dir", str(tmp_path / "prof"),
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["profiles"]["sidecars"]
-        events = T.load_log(log)
-        assert _types(events).count("run_finished") == len(payload["runs"])
 
 
 class TestEquivalenceSweep:
