@@ -13,18 +13,17 @@ hot path wants:
   evaluated at most once per dispatch, through its prebound property
   ``fget`` (no ``getattr`` string lookups), in exactly the order the
   interpreter would first touch it — guards with lazy side effects (the
-  directory's classification) therefore fire at the same point on both
-  paths;
+  directory's classification) therefore fire where the table's row
+  order puts them;
 * :class:`CompiledRow` leaves carrying prebound action functions and the
   precomputed ``state.value`` / ``event.value`` / next-state strings the
   observability probes and error messages need, so no enum attribute is
   read per dispatch.
 
-``CompiledTable.decide`` raises the *same* :class:`ProtocolError`
-messages as ``TransitionTable.decide`` (they are precomputed per cell),
-and ``decide_interpreted`` routes through the original interpreter and
-maps the chosen row back to its compiled form — the ``--no-fastpath``
-escape hatch, and the reference side of the equivalence harness.
+``CompiledTable.decide`` picks the row ``TransitionTable.decide`` picks
+and raises the *same* :class:`ProtocolError` messages (they are
+precomputed per cell).  ``tests/test_table_oracle.py`` checks both, and
+the guard reads, for every variant, cell and guard valuation.
 """
 
 from operator import attrgetter
@@ -123,26 +122,21 @@ def _build_tree(rows, row_map, guard_fns, fail):
 class CompiledTable:
     """Integer-indexed dispatch structures for one transition table."""
 
-    __slots__ = ("table", "name", "variant", "states", "events",
-                 "state_index", "event_index", "n_events",
-                 "_cells", "_row_map")
+    __slots__ = ("table", "name", "variant", "n_events", "_cells", "_row_map")
 
     def __init__(self, table, states, events, ctx_cls, action_map):
         self.table = table
         self.name = table.name
         self.variant = table.variant
-        self.states = tuple(states)
-        self.events = tuple(events)
-        self.state_index = {state: i for i, state in enumerate(self.states)}
-        self.event_index = {event: i for i, event in enumerate(self.events)}
-        self.n_events = len(self.events)
+        events = tuple(events)
+        self.n_events = len(events)
         self._row_map = {t: CompiledRow(t, action_map) for t in table.transitions}
         guard_names = {g for t in table.transitions for g in t.guards}
         guard_fns = {name: _guard_fn(ctx_cls, name) for name in guard_names}
         prefix = f"{table.name}[{table.variant.describe()}]"
         self._cells = []
-        for state in self.states:
-            for event in self.events:
+        for state in states:
+            for event in events:
                 rows = table._index.get((state, event))
                 if rows is None:
                     self._cells.append(_Fail(
@@ -167,23 +161,6 @@ class CompiledTable:
         if node.__class__ is _Fail:
             raise ProtocolError(node.message)
         return node
-
-    def decide_interpreted(self, state_idx, event_idx, ctx):
-        """Escape hatch: run the original interpreter
-        (:meth:`TransitionTable.decide`), then hand back the chosen row's
-        compiled form so the dispatch tail is identical either way."""
-        row = self.table.decide(
-            self.states[state_idx], self.events[event_idx], ctx
-        )
-        return self._row_map[row]
-
-    # ------------------------------------------------------------------
-    def row_for(self, transition):
-        """The compiled form of one source row (tests/diagnostics)."""
-        return self._row_map[transition]
-
-    def rows(self):
-        return tuple(self._row_map.values())
 
 
 def compile_table(table, states, events, ctx_cls, action_map, annotate=None):

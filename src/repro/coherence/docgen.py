@@ -13,7 +13,7 @@ from pathlib import Path
 from repro.coherence.cache_table import cache_table
 from repro.coherence.dir_table import dir_table
 from repro.coherence.table import ERROR
-from repro.coherence.variants import enumerate_variants, tardis_variants
+from repro.coherence.variants import all_variants
 
 BEGIN = "<!-- BEGIN GENERATED TABLES (python -m repro.coherence.docgen) -->"
 END = "<!-- END GENERATED TABLES -->"
@@ -30,16 +30,8 @@ REFERENCE_LABELS = (
 )
 
 
-def _all_variants():
-    return (
-        tuple(enumerate_variants(False))
-        + tuple(enumerate_variants(True))
-        + tuple(tardis_variants())
-    )
-
-
 def _by_label(label):
-    for variant in _all_variants():
+    for variant in all_variants():
         if variant.describe() == label:
             return variant
     raise LookupError(f"no variant labelled {label!r}")
@@ -84,7 +76,7 @@ def _render_summary():
         "| variant | cache rows | dir rows | NORMAL | error rows |",
         "|---|---|---|---|---|",
     ]
-    for variant in _all_variants():
+    for variant in all_variants():
         cache = cache_table(variant)
         directory = dir_table(variant)
         rows = cache.transitions + directory.transitions
@@ -113,12 +105,13 @@ def render():
         "cannot produce; **error** rows assert impossible inputs.",
         "",
         "These generated tables are the *single source* of the protocol:",
-        "the interpreted controllers walk them row by row, and the",
-        "compiled dispatch layer (`repro/coherence/compile.py`) lowers",
-        "exactly the same rows into integer-indexed decision trees — a",
-        "table edit changes both execution paths at once, and",
-        "`python -m repro.harness.equivalence` proves they stay",
-        "bit-identical (see docs/PERFORMANCE.md).",
+        "the state-space checker walks them row by row, and the",
+        "controllers' compiled dispatch (`repro/coherence/compile.py`)",
+        "lowers exactly the same rows into integer-indexed decision",
+        "trees, so a table edit changes both at once.",
+        "`tests/test_table_oracle.py` checks that every compiled cell",
+        "picks the row the table picks, for every variant and guard",
+        "valuation (see docs/PERFORMANCE.md).",
         "",
     ]
     for label in REFERENCE_LABELS:

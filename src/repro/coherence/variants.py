@@ -193,3 +193,9 @@ def enumerate_variants(migratory=False):
 def tardis_variants():
     """The Tardis family (orthogonal to the DSI knob grid): SC and WC."""
     return [ProtocolVariant(wc=wc, tardis=True) for wc in (False, True)]
+
+
+def all_variants():
+    """All 46 structural variants: the DSI knob grid without and with the
+    migratory optimization, then the Tardis family."""
+    return enumerate_variants(False) + enumerate_variants(True) + tardis_variants()

@@ -264,10 +264,7 @@ class DirectoryController:
         # The compiled table all of a machine's home nodes share
         # (:func:`compiled_dir_table`).
         self.ctable = ctable
-        self._decide = (
-            self.ctable.decide if config.compiled_dispatch
-            else self.ctable.decide_interpreted
-        )
+        self._decide = self.ctable.decide
         self.lease_policy = make_lease_policy(config) if config.tardis else None
 
     # ------------------------------------------------------------------

@@ -173,13 +173,6 @@ def build_parser():
         "--cache", type=int, default=SMALL_CACHE, help="run: cache bytes (default 16384)"
     )
     parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="run: interpreted execution paths only — disable the compiled "
-        "transition dispatch and the direct execution of hits (results are "
-        "bit-identical either way; this is the debugging escape hatch)",
-    )
-    parser.add_argument(
         "--latency", type=int, default=100, help="run: network latency in cycles"
     )
     parser.add_argument(
@@ -349,21 +342,17 @@ def _refused_flag(args, sweeps):
 
 
 def _make_runner(args):
-    """The sweep's runner, or ``None`` after a one-line complaint when a
-    telemetry path cannot be written (checked before any spec runs)."""
-    try:
-        return ExperimentRunner(
-            n_procs=args.procs,
-            quick=args.quick,
-            verbose=args.verbose,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            telemetry=_telemetry_config(args),
-        )
-    except ConfigError as exc:
-        print(f"{args.experiment}: {exc}", file=sys.stderr)
-        return None
+    """The sweep's runner; a telemetry path that cannot be written raises
+    :class:`ConfigError` here, before any spec runs."""
+    return ExperimentRunner(
+        n_procs=args.procs,
+        quick=args.quick,
+        verbose=args.verbose,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        telemetry=_telemetry_config(args),
+    )
 
 
 def main(argv=None):
@@ -383,9 +372,12 @@ def _dispatch(argv):
     if args.jobs is not None and args.jobs < 1:
         print("--jobs must be >= 1 (1 = serial, in-process)", file=sys.stderr)
         return 2
-    if args.procs < 1:
-        print("--procs must be >= 1", file=sys.stderr)
-        return 2
+    sizes = [("--procs", args.procs), ("--ops", args.ops), ("--max-states", args.max_states)]
+    sizes += [("--nodes", nodes) for nodes in args.nodes or ()]
+    for flag, value in sizes:
+        if value < 1:
+            print(f"{flag} must be >= 1", file=sys.stderr)
+            return 2
     verb = VERBS.get(args.experiment)
     if verb is None and args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
@@ -394,9 +386,16 @@ def _dispatch(argv):
     if refusal is not None:
         print(refusal, file=sys.stderr)
         return 2
-    if verb is None:
-        return _experiments(args, (args.experiment,))
-    return verb(args)
+    try:
+        if verb is None:
+            return _experiments(args, (args.experiment,))
+        return verb(args)
+    except ConfigError as exc:
+        # A flag value the configuration refuses (a protocol label, a
+        # cache size, a latency, an unwritable telemetry path): one line,
+        # as for a size below one.
+        print(f"{args.experiment}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _list(args):
@@ -410,8 +409,6 @@ def _experiments(args, selected):
     """Run the ``selected`` experiment ids as one batch and print their
     tables."""
     runner = _make_runner(args)
-    if runner is None:
-        return 2
     started = time.perf_counter()
     try:
         # Plan: union every selected experiment's specs into one pool
@@ -482,10 +479,9 @@ def _check_protocol(args):
     from functools import partial
 
     from repro.coherence.explore import check_variant
-    from repro.coherence.variants import NO_BUGS, enumerate_variants, tardis_variants
+    from repro.coherence.variants import NO_BUGS, all_variants
 
-    variants = [v for mig in (False, True) for v in enumerate_variants(mig)]
-    variants += tardis_variants()
+    variants = all_variants()
     if args.variant:
         wanted = args.variant.lower()
         variants = [v for v in variants if wanted in v.describe().lower()]
@@ -559,8 +555,6 @@ def _check_protocol(args):
 def _bars(args):
     """Render Figure 3 as terminal stacked bars, one group per workload."""
     runner = _make_runner(args)
-    if runner is None:
-        return 2
     plan = {
         (workload, protocol): runner.spec(
             workload, paper_config(protocol, cache=SMALL_CACHE, n_procs=args.procs)
@@ -633,17 +627,17 @@ def _tracer_telemetry(tracer):
     }
 
 
-def _protocol_overrides(args):
-    """Config overrides assembled from the protocol-tuning options."""
+def _run_config(args, protocol, n_procs):
+    """The config the run flags describe for ``protocol``; a value it
+    refuses raises :class:`ConfigError`."""
     overrides = {}
     if args.lease is not None:
         overrides["lease"] = args.lease
     if args.lease_adaptive:
         overrides["lease_adaptive"] = True
-    if getattr(args, "no_fastpath", False):
-        overrides["compiled_dispatch"] = False
-        overrides["direct_execution"] = False
-    return overrides
+    return paper_config(
+        protocol, cache=args.cache, latency=args.latency, n_procs=n_procs, **overrides
+    )
 
 
 def _run_one(args):
@@ -651,13 +645,7 @@ def _run_one(args):
     program = _load_run_program(args)
     if program is None:
         return 2
-    config = paper_config(
-        args.protocol,
-        cache=args.cache,
-        latency=args.latency,
-        n_procs=program.n_procs,
-        **_protocol_overrides(args),
-    )
+    config = _run_config(args, args.protocol, program.n_procs)
     instrument = _make_instrument(args)
     started = time.perf_counter()
     machine = Machine(config, program, instrument=instrument)
@@ -734,13 +722,7 @@ def _trace(args):
     program = _load_run_program(args)
     if program is None:
         return 2
-    config = paper_config(
-        args.protocol,
-        cache=args.cache,
-        latency=args.latency,
-        n_procs=program.n_procs,
-        **_protocol_overrides(args),
-    )
+    config = _run_config(args, args.protocol, program.n_procs)
     txns = set(args.txn) if args.txn else None
     # --txn needs the causal stitcher; ids are deterministic across
     # instrumented runs, so an id from 'dsi-sim why' replays here.
@@ -839,15 +821,11 @@ def _why(args):
     program = _load_run_program(args)
     if program is None:
         return 2
+    # Both configs first, so a refused --diff label runs nothing.
+    config = _run_config(args, args.protocol, program.n_procs)
+    base_config = _run_config(args, args.diff, program.n_procs) if args.diff else None
 
-    def run_variant(protocol):
-        config = paper_config(
-            protocol,
-            cache=args.cache,
-            latency=args.latency,
-            n_procs=program.n_procs,
-            **_protocol_overrides(args),
-        )
+    def run_variant(config):
         instrument = CausalInstrument()
         result = Machine(config, program, instrument=instrument).run()
         report = instrument.why_report(
@@ -855,15 +833,15 @@ def _why(args):
             protocol=config.describe(),
             top=args.top,
         )
-        return config, instrument, result, report
+        return instrument, result, report
 
     started = time.perf_counter()
-    config, instrument, result, report = run_variant(args.protocol)
+    instrument, result, report = run_variant(config)
     diff = None
-    if args.diff:
+    if base_config is not None:
         # The --diff protocol is the *base* of the comparison: positive
         # deltas mean the primary run spends more cycles there.
-        _, _, _, base_report = run_variant(args.diff)
+        _, _, base_report = run_variant(base_config)
         diff = diff_why(base_report, report)
     wall = time.perf_counter() - started
     _write_obs_outputs(
@@ -912,13 +890,7 @@ def _analyze(args):
     program = _load_run_program(args)
     if program is None:
         return 2
-    config = paper_config(
-        args.protocol,
-        cache=args.cache,
-        latency=args.latency,
-        n_procs=program.n_procs,
-        **_protocol_overrides(args),
-    )
+    config = _run_config(args, args.protocol, program.n_procs)
     instrument = AnalyticsInstrument(audit=not args.no_audit)
     started = time.perf_counter()
     result = Machine(config, program, instrument=instrument).run()
@@ -1036,11 +1008,7 @@ def _report(args):
         print("report: need a telemetry log (dsi-sim report sweep.jsonl; "
               "produce one with --log)", file=sys.stderr)
         return 2
-    try:
-        events, problems = telemetry.load_log_lenient(args.target)
-    except ConfigError as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
+    events, problems = telemetry.load_log_lenient(args.target)
     if not events:
         if problems:
             for problem in problems[:5]:

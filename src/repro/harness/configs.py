@@ -16,6 +16,7 @@ point: no sharer tracking, no invalidation traffic — self-invalidation
 falls out of lease expiry (see docs/PROTOCOL.md).
 """
 
+from repro.coherence.variants import ProtocolVariant, TearoffMode
 from repro.config import Consistency, IdentifyScheme, KB, SIMechanism, SystemConfig
 from repro.errors import ConfigError
 
@@ -67,6 +68,36 @@ def paper_config(protocol="SC", cache=SMALL_CACHE, latency=FAST_NET, n_procs=32,
         network_latency=latency,
         **fields,
     )
+
+
+def config_for_variant(variant, n_procs=32, **overrides):
+    """A small-cache :class:`~repro.config.SystemConfig` realizing
+    ``variant``: the inverse of
+    :meth:`~repro.coherence.variants.ProtocolVariant.from_config`,
+    checked to round-trip so a run covers the variant it names."""
+    fields = {}
+    if variant.wc:
+        fields["consistency"] = Consistency.WC
+    if variant.tardis:
+        fields["tardis"] = True
+    else:
+        fields["identify"] = variant.identify
+        if variant.mechanism is not None:
+            fields["si_mechanism"] = variant.mechanism
+        if variant.tearoff is TearoffMode.WC:
+            fields["tearoff"] = True
+        elif variant.tearoff is TearoffMode.SC:
+            fields["sc_tearoff"] = True
+        if variant.migratory:
+            fields["migratory"] = True
+    fields.update(overrides)
+    config = SystemConfig(n_processors=n_procs, cache_size=SMALL_CACHE, **fields)
+    realized = ProtocolVariant.from_config(config)
+    if realized != variant:
+        raise ConfigError(
+            f"config_for_variant round-trip failed: wanted {variant}, got {realized}"
+        )
+    return config
 
 
 #: Reduced workload parameters for quick runs (CI, pytest, benchmarks).

@@ -102,7 +102,7 @@ def code_fingerprint():
     :class:`~repro.config.SystemConfig` is a pure value, so a spec's key
     and the source alone decide its result.  Telemetry settings
     (``--log``, ``--profile``) never affect simulation results either
-    (the equivalence harness proves it), so they must never bust the
+    (``tests/test_telemetry.py`` checks it), so they must never bust the
     result cache.
     """
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))

@@ -20,8 +20,8 @@ Sinks
     ``seq`` and the active sweep id and hands each event to the sinks.
     Telemetry never influences results: profiling wraps the run in
     ``cProfile`` without touching the simulation, and no setting enters
-    the result cache's code fingerprint (``tests/test_telemetry.py`` and
-    ``repro.harness.equivalence --telemetry`` prove both).
+    the result cache's code fingerprint (``tests/test_telemetry.py``
+    checks both).
 
 Post-hoc analysis
     :func:`load_log` + :func:`sweep_report` power ``dsi-sim report``:
@@ -190,9 +190,9 @@ class TelemetryConfig:
 
     ``log_path`` and ``profile`` each independently activate telemetry.
     None of these fields may influence simulation results — the result
-    cache's code fingerprint deliberately ignores them, and the
-    equivalence harness proves records identical with and without
-    telemetry.
+    cache's code fingerprint deliberately ignores them, and
+    ``tests/test_telemetry.py`` checks records identical with and
+    without telemetry.
     """
 
     def __init__(self, log_path=None, profile=None, profile_dir=None):

@@ -74,7 +74,7 @@ class Processor:
         # Tardis (hits mutate lease state) and under the invariant monitor
         # (it must observe every access).  Instrumented runs keep it — the
         # interpreted hit path fires no probes, so neither does the fast path.
-        if config.direct_execution and not config.tardis and not config.check_invariants:
+        if not config.tardis and not config.check_invariants:
             self._fast = FastPath(self)
         else:
             self._fast = None

@@ -9,9 +9,11 @@ probes the cache's ``block -> frame`` map
 (:attr:`repro.memory.cache.Cache.valid_map`) for each, and retires every
 hit in place with exactly the side effects of the interpreted hit path.
 
-Equivalence contract (proved run-for-run by
-:mod:`repro.harness.equivalence`): the fast path must be invisible in the
-:class:`~repro.stats.record.RunRecord`.  Concretely:
+Equivalence contract: the fast path must be invisible in the
+:class:`~repro.stats.record.RunRecord`.  The golden record digests
+(``tests/test_golden_records.py``) hold every record to the same digest
+with the fast path on (the default run) and off (the monitored run,
+``check_invariants=True``).  Concretely:
 
 * **Eligibility** — exactly the first branch of the controller's
   ``try_read`` / ``try_write``: a load retires when the block has a valid
@@ -34,11 +36,10 @@ Equivalence contract (proved run-for-run by
   and ``frame.dirty`` for writes, ``read_hits``/``write_hits`` and
   ``breakdown.compute``.
 
-The fast path is disabled under Tardis (hits mutate lease state), under
-``check_invariants`` (the monitor observes every access), and via
-``SystemConfig.direct_execution=False`` (``dsi-sim run --no-fastpath``).
-Instrumented runs keep it on: the interpreted hit path fires no probes,
-so neither does the fast path.
+The fast path runs whenever it is eligible: everywhere but under Tardis
+(hits mutate lease state) and under ``check_invariants`` (the monitor
+observes every access).  Instrumented runs keep it on: the interpreted
+hit path fires no probes, so neither does the fast path.
 """
 
 from repro.memory.cache import EXCLUSIVE

@@ -221,12 +221,7 @@ class CacheController:
         # The compiled table all of a machine's nodes share
         # (:func:`compiled_cache_table`).
         self.ctable = ctable
-        # One bound decide per controller: the compiled guard-tree walk, or
-        # the original interpreter (``dsi-sim run --no-fastpath``).
-        self._decide = (
-            self.ctable.decide if config.compiled_dispatch
-            else self.ctable.decide_interpreted
-        )
+        self._decide = self.ctable.decide
         self.cache = Cache(config, node)
         self.resource = Resource(sim, name=f"cc{node}")
         # Prebound for the per-message occupancy (``receive``, ``_issue``).

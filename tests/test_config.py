@@ -60,6 +60,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(write_buffer_entries=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cache_ctrl_cycles",
+            "dir_ctrl_cycles",
+            "inject_cycles",
+            "inject_data_cycles",
+            "network_latency",
+            "local_latency",
+            "barrier_latency",
+            "cache_hit_cycles",
+            "si_flush_cycles_per_block",
+            "max_events",
+        ],
+    )
+    def test_negative_timing_refused(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 0$"):
+            SystemConfig(**{field: -3})
+        assert getattr(SystemConfig(**{field: 0}), field) == 0
+
 
 class TestDerived:
     def test_geometry(self):

@@ -1,21 +1,23 @@
-"""Interpreted-vs-compiled equivalence (tier-1 slice of the proof).
+"""The two processor paths on the tier-1 variant spine.
 
-The full proof — every variant of
-:func:`repro.harness.equivalence.all_variants` on every paper workload —
-runs via ``python -m repro.harness.equivalence`` (CI's ``check-protocol``
-job and the ``DSI_EQUIV_FULL=1`` gate below).  Here a representative
-spine of the variant space runs on two workloads at small scale so the
-tier-1 suite catches a divergence in seconds.
+Every run dispatches through the compiled tables.  A processor retires
+its cache hits by direct execution in the default run, and takes the
+interpreted loop for every op in the monitored run
+(``check_invariants=True``: the coherence monitor observes every
+access).  ``tests/test_golden_records.py`` holds both paths' records to
+the committed digests; here the two records of each spine run are
+compared field by field, so a divergence names its fields.  Each spine
+run happens once per session: both files read :func:`spine_record`.
 """
 
-import os
+import functools
 
 import pytest
 
-from repro.coherence.variants import ProtocolVariant, TearoffMode
+from repro.coherence.variants import ProtocolVariant, TearoffMode, all_variants
 from repro.config import IdentifyScheme, SIMechanism
-from repro.harness import equivalence
-from repro.harness.configs import WORKLOADS, workload_args
+from repro.harness.configs import config_for_variant, workload_args
+from repro.harness.runspec import RunSpec
 
 #: Spine of the variant space: base protocols, both identification
 #: schemes the paper evaluates, both SI mechanisms, both tear-off modes,
@@ -48,37 +50,31 @@ WORKLOAD_SLICE = ("em3d", "sparse")
 PROCS = 4
 
 
+def run_record(variant, workload, n_procs, monitored=False):
+    """One quick-scale run of ``workload`` under ``variant``; ``monitored``
+    turns the coherence monitor on, which takes the interpreted loop."""
+    config = config_for_variant(variant, n_procs=n_procs, check_invariants=monitored)
+    spec = RunSpec.create(workload, config, **workload_args(workload, quick=True, n_procs=n_procs))
+    return spec.execute(spec.build_program())
+
+
+@functools.lru_cache(maxsize=None)
+def spine_record(variant, workload, monitored):
+    return run_record(variant, workload, PROCS, monitored)
+
+
 @pytest.mark.parametrize("variant", SPINE, ids=lambda v: v.describe())
 @pytest.mark.parametrize("workload", WORKLOAD_SLICE)
 def test_compiled_paths_bit_identical(variant, workload):
-    config = equivalence.config_for_variant(variant, n_procs=PROCS)
-    wl_args = workload_args(workload, quick=True, n_procs=PROCS)
-    equal, diffs = equivalence.check_pair(workload, config, wl_args)
-    assert equal, f"{variant.describe()}/{workload} diverged on: {', '.join(diffs)}"
+    fast = spine_record(variant, workload, False)._measured_dict()
+    ref = spine_record(variant, workload, True)._measured_dict()
+    assert [key for key in fast if fast[key] != ref[key]] == []
 
 
 def test_config_for_variant_roundtrips_every_variant():
-    variants = equivalence.all_variants()
+    variants = all_variants()
     # 22 structural combinations per migratory setting + SC/WC Tardis.
     assert len(variants) == 46
     for variant in variants:
-        config = equivalence.config_for_variant(variant)
+        config = config_for_variant(variant)
         assert ProtocolVariant.from_config(config) == variant
-
-
-def test_reference_config_flips_both_layers():
-    config = equivalence.config_for_variant(ProtocolVariant())
-    ref = equivalence.reference_config(config)
-    assert config.compiled_dispatch and config.direct_execution
-    assert not ref.compiled_dispatch and not ref.direct_execution
-    # Everything else is untouched — same machine, different engine.
-    assert ref.with_(compiled_dispatch=True, direct_execution=True) == config
-
-
-@pytest.mark.skipif(
-    not os.environ.get("DSI_EQUIV_FULL"),
-    reason="full 46-variant x 5-workload sweep; set DSI_EQUIV_FULL=1",
-)
-def test_full_equivalence_sweep():
-    failures = equivalence.sweep(workloads=WORKLOADS)
-    assert not failures, failures

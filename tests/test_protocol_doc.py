@@ -29,12 +29,12 @@ def test_render_is_deterministic():
 
 def test_rendered_block_states_single_source_of_truth():
     """The generated block must tell readers that the tables drive both
-    the interpreted controllers and the compiled dispatch layer — the
-    note that keeps table edits from being applied to one path only."""
+    the state-space checker and the compiled dispatch layer, and name
+    the oracle that holds the compiled dispatch to the tables."""
     text = docgen.render()
     assert "single source" in text
     assert "repro/coherence/compile.py" in text
-    assert "repro.harness.equivalence" in text
+    assert "tests/test_table_oracle.py" in text
     document = docgen.default_path().read_text(encoding="utf-8")
     assert "single source" in document
 

@@ -11,6 +11,7 @@ import pytest
 from repro.config import IdentifyScheme, SystemConfig
 from repro.harness import runpool as runpool_mod
 from repro.harness import telemetry as T
+from repro.harness.configs import paper_config, workload_args
 from repro.harness.runpool import RunPool
 from repro.harness.runspec import RunSpec
 
@@ -707,8 +708,82 @@ class TestCli:
             assert "bad line" in err
 
 
-class TestEquivalenceSweep:
-    def test_sweep_telemetry_proof_holds(self):
-        from repro.harness.equivalence import sweep_telemetry
+#: The telemetry proof's two spec lists as (workloads, protocols,
+#: processors), each workload at quick scale under each protocol.
+#: Identity observes three short synthetic runs; reconciliation sweeps
+#: twelve quick paper specs across base, weak consistency,
+#: DSI-with-versions and Tardis.
+TELEMETRY_IDENTITY = (("producer_consumer",), ("SC", "V", "TARDIS"), 4)
+TELEMETRY_SWEEP = (("em3d", "sparse", "tomcatv"), ("SC", "W", "V", "TARDIS"), 8)
 
-        assert sweep_telemetry(jobs=2) == []
+
+def telemetry_specs(workloads, protocols, n_procs):
+    """One quick-scale spec per (workload, protocol), workload-major."""
+    return [
+        RunSpec.create(
+            workload,
+            paper_config(protocol, n_procs=n_procs),
+            **workload_args(workload, quick=True, n_procs=n_procs),
+        )
+        for workload in workloads
+        for protocol in protocols
+    ]
+
+
+def sweep_telemetry(tmp):
+    """The proof that the harness observatory is invisible to results.
+
+    1. *Identity*: every :data:`TELEMETRY_IDENTITY` spec run under full
+       telemetry (the JSONL log and cProfile sidecars) yields a
+       :class:`~repro.stats.record.RunRecord` equal to the bare run
+       (record equality already excludes the wall-time fields).
+    2. *Reconciliation*: a :data:`TELEMETRY_SWEEP` sweep under ``--log``
+       on two workers (a cold pass executing everything, a warm pass
+       serving everything from cache) produces a schema-valid JSONL whose terminal events
+       reconcile exactly with ``RunPool.manifest()``: every spec exactly
+       once per pass as cached or finished, zero lost events.
+
+    Returns ``(check, subject, problems)`` tuples; empty means the proof
+    holds.
+    """
+    failures = []
+    specs = telemetry_specs(*TELEMETRY_IDENTITY)
+    bare = RunPool(jobs=1).run_batch(specs)
+    pool = RunPool(
+        jobs=1,
+        telemetry=T.TelemetryConfig(
+            log_path=os.path.join(tmp, "identity.jsonl"),
+            profile="cprofile",
+            profile_dir=os.path.join(tmp, "profiles"),
+        ),
+    )
+    try:
+        observed = pool.run_batch(specs)
+    finally:
+        pool.close()
+    for spec in specs:
+        seen, want = observed[spec]._measured_dict(), bare[spec]._measured_dict()
+        diffs = [key for key in want if seen[key] != want[key]]
+        if diffs:
+            failures.append(("identity", spec.describe(), diffs))
+    log_path = os.path.join(tmp, "sweep.jsonl")
+    pool = RunPool(
+        jobs=2,
+        cache_dir=os.path.join(tmp, "cache"),
+        telemetry=T.TelemetryConfig(log_path=log_path),
+    )
+    try:
+        quick = telemetry_specs(*TELEMETRY_SWEEP)
+        pool.run_batch(quick)  # cold: every spec executes
+        pool.run_batch(quick)  # warm: every spec is a cache hit
+    finally:
+        pool.close()
+    problems = T.reconcile(T.load_log(log_path), pool.manifest())  # load_log validates
+    if problems:
+        failures.append(("reconcile", "--log sweep", problems))
+    return failures
+
+
+class TestEquivalenceSweep:
+    def test_sweep_telemetry_proof_holds(self, tmp_path):
+        assert sweep_telemetry(str(tmp_path)) == []
