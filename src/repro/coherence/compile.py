@@ -67,7 +67,7 @@ class CompiledRow:
 
 
 class _Fail:
-    """Decision leaf that raises: no cell, or no guard chain matched."""
+    """Decision leaf of a ``(state, event)`` cell with no rows: raises."""
 
     __slots__ = ("message",)
 
@@ -84,15 +84,17 @@ def _guard_fn(ctx_cls, name):
     return attrgetter(name)
 
 
-def _build_tree(rows, row_map, guard_fns, fail):
+def _build_tree(rows, row_map, guard_fns):
     """Pre-resolve one cell's guarded row scan into a decision tree.
 
     Nodes are ``(guard_fn, if_true, if_false)`` tuples; leaves are
-    :class:`CompiledRow` (first matching row) or ``fail``.  The tree
-    evaluates exactly the guards the interpreter would newly evaluate,
-    in the same order: walk rows top-down, a row whose guards are all
-    known-true wins, a known-false guard skips the row, and the first
-    *unknown* guard of the first still-alive row becomes the next node.
+    :class:`CompiledRow` (first matching row).  The tree evaluates
+    exactly the guards the interpreter would newly evaluate, in the same
+    order: walk rows top-down, a row whose guards are all known-true
+    wins, a known-false guard skips the row, and the first *unknown*
+    guard of the first still-alive row becomes the next node.  The
+    cell's last row is unguarded (``TransitionTable.validate``), so every
+    walk ends at a row.
     """
 
     def build(known):
@@ -114,7 +116,6 @@ def _build_tree(rows, row_map, guard_fns, fail):
             if_true = build({**known, branch_guard: True})
             if_false = build({**known, branch_guard: False})
             return (guard_fns[branch_guard], if_true, if_false)
-        return fail
 
     return build({})
 
@@ -144,13 +145,7 @@ class CompiledTable:
                         f"in state {state.value}"
                     ))
                     continue
-                fail = _Fail(
-                    f"{prefix}: no guard matched for event {event.value} "
-                    f"in state {state.value}"
-                )
-                self._cells.append(
-                    _build_tree(rows, self._row_map, guard_fns, fail)
-                )
+                self._cells.append(_build_tree(rows, self._row_map, guard_fns))
 
     # ------------------------------------------------------------------
     def decide(self, state_idx, event_idx, ctx):

@@ -90,7 +90,8 @@ class TransitionTable:
 
     # ------------------------------------------------------------------
     def decide(self, state, event, ctx):
-        """First matching row for (state, event) under ``ctx``'s guards."""
+        """First matching row for (state, event) under ``ctx``'s guards
+        (a cell ends in an unguarded row, so one always matches)."""
         rows = self._index.get((state, event))
         if rows is None:
             raise ProtocolError(
@@ -100,10 +101,6 @@ class TransitionTable:
         for row in rows:
             if row.matches(ctx):
                 return row
-        raise ProtocolError(
-            f"{self.name}[{self.variant.describe()}]: no guard matched for "
-            f"event {event.value} in state {state.value}"
-        )
 
     def rows(self, state=None, event=None):
         out = []
@@ -137,9 +134,10 @@ class TransitionTable:
             seen.add(t.key)
 
     def _assert_deterministic_guard_chains(self):
-        """Within a (state, event) cell, guards must narrow monotonically:
-        once an unguarded row appears it must be the last — anything after
-        it could never fire (an unreachable transition by construction)."""
+        """Within a (state, event) cell, guards must narrow monotonically
+        and end in the one unguarded row: a row after it could never fire
+        (an unreachable transition by construction), and without it some
+        guard valuation would match no row at all."""
         for (state, event), rows in self._index.items():
             for i, row in enumerate(rows):
                 if not row.guards and i != len(rows) - 1:
@@ -147,6 +145,11 @@ class TransitionTable:
                         f"{self.name}: unguarded row for ({state.value}, "
                         f"{event.value}) shadows {len(rows) - 1 - i} later row(s)"
                     )
+            if rows[-1].guards:
+                raise AssertionError(
+                    f"{self.name}: ({state.value}, {event.value}) ends in a "
+                    f"guarded row; its last row must be unguarded"
+                )
 
     def _assert_error_rows_pure(self):
         for t in self.transitions:
@@ -171,10 +174,6 @@ class CoverageTracker:
             t for t in self.table.transitions
             if t.kind in kinds and t.key not in self.fired
         ]
-
-    def covered_count(self, kinds=(NORMAL,)):
-        rows = [t for t in self.table.transitions if t.kind in kinds]
-        return sum(1 for t in rows if t.key in self.fired), len(rows)
 
 
 def rows(state_or_states, event_or_events, *args, **kwargs):

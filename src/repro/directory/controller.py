@@ -2,7 +2,7 @@
 
 One controller per node; it owns the directory entries of the blocks whose
 home is that node.  Every incoming message occupies the controller for
-``dir_ctrl_cycles`` (10) cycles — this occupancy, together with the FIFO
+``DIR_CTRL_CYCLES`` (10) cycles — this occupancy, together with the FIFO
 queueing in front of it, is the directory contention the paper models.
 
 Every state decision is made by the declarative transition table in
@@ -61,7 +61,7 @@ from repro.coherence.compile import (
 from repro.coherence.diagnostics import directory_diagnostic
 from repro.coherence.dir_table import dir_table
 from repro.coherence.events import DirAction as A, DirEvent as E, DirState as S
-from repro.config import Consistency, IdentifyScheme
+from repro.config import DIR_CTRL_CYCLES, Consistency, IdentifyScheme
 from repro.core.mechanisms import make_lease_policy
 from repro.directory.state import (
     DIR_EXCLUSIVE,
@@ -255,7 +255,6 @@ class DirectoryController:
         self.resource = Resource(sim, name=f"dir{node}")
         # Prebound for the per-message occupancy (``receive``).
         self._submit = self.resource.submit
-        self._dir_cycles = config.dir_ctrl_cycles
         self._on_message = self._process
         self.entries = {}
         self.stale_messages = 0
@@ -295,7 +294,7 @@ class DirectoryController:
     # ------------------------------------------------------------------
     def receive(self, msg):
         """Entry point from the network: queue behind the controller."""
-        self._submit(self._dir_cycles, self._on_message, msg)
+        self._submit(DIR_CTRL_CYCLES, self._on_message, msg)
 
     def _process(self, msg):
         event = _MSG_EVENTS[msg.kind]

@@ -49,7 +49,7 @@ import sys
 import time
 
 from repro.coherence.variants import Bugs
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceError
 from repro.harness import ablations, figure2, figure3, figure4, figure5, figure6, table2, table3
 from repro.harness.configs import (
     PROTOCOLS,
@@ -576,7 +576,11 @@ def _bars(args):
 
 def _load_run_program(args):
     if args.trace:
-        return load_program(args.trace)
+        try:
+            return load_program(args.trace)
+        except (OSError, TraceError) as exc:
+            print(f"{args.experiment}: {exc}", file=sys.stderr)
+            return None
     if not args.workload:
         print("run: need --workload or --trace", file=sys.stderr)
         return None
@@ -1059,7 +1063,11 @@ def _generate(args):
     program = by_name(
         args.workload, **workload_args(args.workload, quick=args.quick, n_procs=args.procs)
     )
-    save_program(program, args.output)
+    try:
+        save_program(program, args.output)
+    except OSError as exc:
+        print(f"gen: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {program.describe()} -> {args.output}")
     return 0
 

@@ -154,9 +154,6 @@ class Cache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def set_index(self, block):
-        return block % self.n_sets
-
     def lookup(self, block, touch=True):
         """Return the valid frame holding ``block``, or None on a miss.
 

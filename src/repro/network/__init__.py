@@ -1,7 +1,6 @@
-"""Interconnect: message types, network interfaces, and the network itself."""
+"""Interconnect: message types and the constant-latency network (§5.1)."""
 
 from repro.network.message import DIR_BOUND, MsgKind, Message
 from repro.network.network import Network
-from repro.network.topology import MeshNetwork
 
-__all__ = ["DIR_BOUND", "MeshNetwork", "Message", "MsgKind", "Network"]
+__all__ = ["DIR_BOUND", "Message", "MsgKind", "Network"]

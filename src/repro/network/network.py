@@ -8,10 +8,11 @@ interfaces (one FIFO injection port per node) and, downstream, at the cache
 and directory controllers.
 
 Messages between a cache and its co-resident home directory skip the
-network entirely and arrive after ``local_latency`` cycles; they are
+network entirely and arrive after ``LOCAL_LATENCY`` (1) cycle; they are
 counted separately from network traffic.
 """
 
+from repro.config import INJECT_CYCLES, INJECT_DATA_CYCLES, LOCAL_LATENCY
 from repro.engine.resource import Resource
 from repro.network.message import DIR_BOUND, MsgKind
 from repro.stats.counters import MessageCounters
@@ -22,6 +23,9 @@ from repro.stats.counters import MessageCounters
 _KIND_NAMES = [kind.name for kind in MsgKind]
 _IS_DIR_BOUND = [kind in DIR_BOUND for kind in MsgKind]
 
+#: Injection cost of a message that carries a cache block.
+_INJECT_BLOCK_CYCLES = INJECT_CYCLES + INJECT_DATA_CYCLES
+
 
 class Network:
     """Delivers :class:`~repro.network.message.Message` objects between nodes."""
@@ -31,10 +35,6 @@ class Network:
         self.config = config
         self.counters = counters if counters is not None else MessageCounters()
         self.obs = instrument
-        self._local_latency = config.local_latency
-        self._inject_cycles = config.inject_cycles
-        # injection cost of a message that carries a cache block
-        self._inject_block_cycles = config.inject_cycles + config.inject_data_cycles
         self._network_latency = config.network_latency
         self.interfaces = [
             Resource(sim, name=f"ni{i}", depth_probe=self._ni_probe(i))
@@ -76,21 +76,17 @@ class Network:
         if self.obs is not None:
             self.obs.message_send(msg, is_network)
         if not is_network:
-            self._schedule(self._local_latency, self._on_deliver, msg)
+            self._schedule(LOCAL_LATENCY, self._on_deliver, msg)
             if on_injected is not None:
                 on_injected()
             return
-        cost = self._inject_block_cycles if msg.carries_data else self._inject_cycles
+        cost = _INJECT_BLOCK_CYCLES if msg.carries_data else INJECT_CYCLES
         self._inject[src](cost, self._on_injected, msg, on_injected)
 
     def _injected(self, msg, on_injected):
-        self._schedule(self.latency(msg.src, msg.dst), self._on_deliver, msg)
+        self._schedule(self._network_latency, self._on_deliver, msg)
         if on_injected is not None:
             on_injected()
-
-    def latency(self, src, dst):
-        """Transit latency between two distinct nodes (constant by default)."""
-        return self._network_latency
 
     def _deliver(self, msg):
         if self.obs is not None:

@@ -23,6 +23,7 @@ The processor reads its trace through a window of plain Python lists
 path (:mod:`repro.processor.fastpath`) both index it.
 """
 
+from repro.config import CACHE_HIT_CYCLES
 from repro.processor.fastpath import FastPath
 from repro.stats.breakdown import Breakdown
 from repro.trace.ops import OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE
@@ -60,7 +61,7 @@ class Processor:
         self.stamps = stamps
         self.obs = instrument
         self.block_shift = config.block_shift
-        self.hit_cycles = config.cache_hit_cycles
+        self.hit_cycles = CACHE_HIT_CYCLES
         self.quantum = max(1, config.quantum)
         self.breakdown = Breakdown()
         self.idx = 0

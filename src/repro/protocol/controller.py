@@ -6,7 +6,7 @@ Bridges three worlds:
   ``sync_write`` / ``drain_wb`` / ``flush_si``;
 * the **cache** (tags, LRU, s bits, versions);
 * the **network** (requests out, responses/invalidations in; every
-  incoming message occupies the controller for ``cache_ctrl_cycles``).
+  incoming message occupies the controller for ``CACHE_CTRL_CYCLES``).
 
 Every *state decision* lives in the declarative transition table built by
 :func:`repro.coherence.cache_table.cache_table` for this node's
@@ -51,7 +51,13 @@ from repro.coherence.diagnostics import cache_diagnostic
 from repro.coherence.events import CacheAction as A
 from repro.coherence.events import CacheEvent as E
 from repro.coherence.events import CacheState as CS
-from repro.config import Consistency, IdentifyScheme
+from repro.config import (
+    CACHE_CTRL_CYCLES,
+    CACHE_HISTORY_ENTRIES,
+    SI_FLUSH_CYCLES_PER_BLOCK,
+    Consistency,
+    IdentifyScheme,
+)
 from repro.core.identify import InvalidationHistory
 from repro.core.mechanisms import make_mechanism
 from repro.engine.resource import Resource
@@ -226,7 +232,6 @@ class CacheController:
         self.resource = Resource(sim, name=f"cc{node}")
         # Prebound for the per-message occupancy (``receive``, ``_issue``).
         self._submit = self.resource.submit
-        self._ctrl_cycles = config.cache_ctrl_cycles
         self._on_message = self._process
         self.mshrs = {}
         # Self-invalidation notices collected but not yet injected into the
@@ -251,7 +256,7 @@ class CacheController:
         # Cache-side identification (§3.1): mark fills of blocks this cache
         # has seen repeatedly invalidated.
         self.history = (
-            InvalidationHistory(config.cache_history_entries, config.cache_inval_threshold)
+            InvalidationHistory(CACHE_HISTORY_ENTRIES, config.cache_inval_threshold)
             if config.identify is IdentifyScheme.CACHE
             else None
         )
@@ -464,7 +469,7 @@ class CacheController:
         tracked = [f for f in frames if not f.tearoff]
         self.misses.self_invalidations += len(frames)
         cost = 1 if tearoff_frames else 0
-        cost += len(tracked) * self.config.si_flush_cycles_per_block
+        cost += len(tracked) * SI_FLUSH_CYCLES_PER_BLOCK
         notices = []
         # States are derived up front: a FIFO can list the same frame twice,
         # and the duplicate must replay the same row it matched while valid.
@@ -558,13 +563,13 @@ class CacheController:
             # score the expiry).
             msg.ts = self.pts
             msg.wts = frame.wts if frame is not None else self.cache.stored_wts(block)
-        self._submit(self._ctrl_cycles, self.network.send, msg)
+        self._submit(CACHE_CTRL_CYCLES, self.network.send, msg)
 
     # ------------------------------------------------------------------
     # Incoming messages
     # ------------------------------------------------------------------
     def receive(self, msg):
-        self._submit(self._ctrl_cycles, self._on_message, msg)
+        self._submit(CACHE_CTRL_CYCLES, self._on_message, msg)
 
     def _process(self, msg):
         entry = _MSG_EVENTS[msg.kind]
@@ -912,11 +917,7 @@ class CacheController:
             self.obs.cache_self_invalidate(self.node, ctx.block, at_sync=False)
         self.cache.invalidate(ctx.frame)
         self._pending_notices[ctx.block] = notice
-        self.resource.submit(
-            self.config.si_flush_cycles_per_block,
-            self._send_pending_notice,
-            notice,
-        )
+        self.resource.submit(SI_FLUSH_CYCLES_PER_BLOCK, self._send_pending_notice, notice)
 
     def _send_pending_notice(self, notice):
         if self._pending_notices.get(notice.block) is notice:

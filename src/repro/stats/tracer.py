@@ -61,23 +61,14 @@ class MessageTracer:
         *counted* (``dropped``) but not stored, and the drop count is
         reported by :meth:`format`.  ``None`` applies the default bound
         (100k); 0 means unbounded.
-    limit:
-        Backwards-compatible alias for ``max_events`` (the pre-cap
-        keyword); ignored when ``max_events`` is given explicitly.
     """
 
-    def __init__(self, blocks=None, limit=0, max_events=None, txns=None):
+    def __init__(self, blocks=None, max_events=None, txns=None):
         self.blocks = set(blocks) if blocks is not None else None
         self.txns = set(txns) if txns is not None else None
-        if max_events is None:
-            max_events = limit if limit else DEFAULT_MAX_EVENTS
-        self.max_events = max_events
+        self.max_events = DEFAULT_MAX_EVENTS if max_events is None else max_events
         self.dropped = 0
         self.events = []
-
-    @property
-    def limit(self):
-        return self.max_events
 
     @property
     def full(self):

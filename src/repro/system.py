@@ -16,7 +16,7 @@ it goes out of scope instead of at the cyclic collector's next pass.
 """
 
 from repro.coherence.variants import ProtocolVariant
-from repro.config import SystemConfig
+from repro.config import BARRIER_LATENCY, SystemConfig
 from repro.core.identify import make_policy
 from repro.directory.controller import DirectoryController, compiled_dir_table
 from repro.engine.simulator import Simulator
@@ -34,7 +34,7 @@ from repro.stats.report import RunResult
 class Machine:
     """A complete simulated multiprocessor bound to one program."""
 
-    def __init__(self, config, program, network_cls=Network, instrument=None):
+    def __init__(self, config, program, instrument=None):
         if not isinstance(config, SystemConfig):
             raise ConfigError("config must be a SystemConfig")
         if program.n_procs != config.n_processors:
@@ -50,7 +50,7 @@ class Machine:
         self.instrument = instrument
         if instrument is not None:
             instrument.bind(self.sim, config.n_processors)
-        self.network = network_cls(self.sim, config, self.counters, instrument=instrument)
+        self.network = Network(self.sim, config, self.counters, instrument=instrument)
         if program.home == "segment":
             self.home_map = SegmentHome(config.n_processors, config.block_shift)
         elif program.home == "round-robin":
@@ -83,7 +83,7 @@ class Machine:
         for node in range(config.n_processors):
             self.network.attach(node, self.controllers[node], self.directories[node])
         self.locks = LockManager()
-        self.barrier = BarrierManager(self.sim, config.n_processors, config.barrier_latency)
+        self.barrier = BarrierManager(self.sim, config.n_processors, BARRIER_LATENCY)
         if config.tardis:
             # A barrier orders every node's accesses; join pts so no node
             # leaves still reading leases from before a remote's writes.
@@ -215,7 +215,7 @@ class Machine:
         )
 
 
-def simulate(config, program, network_cls=Network, instrument=None):
+def simulate(config, program, instrument=None):
     """Convenience: build a machine, run the program, return the result."""
-    with Machine(config, program, network_cls=network_cls, instrument=instrument) as machine:
+    with Machine(config, program, instrument=instrument) as machine:
         return machine.run()

@@ -1,6 +1,7 @@
 """Trace persistence: save/load programs as compressed ``.npz`` archives."""
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -26,8 +27,18 @@ def save_program(program, path):
 
 
 def load_program(path):
-    """Load a program previously written with :func:`save_program`."""
-    with np.load(path) as archive:
+    """Load a program previously written with :func:`save_program`.
+
+    A ``path`` that cannot be read raises :class:`OSError`; a file that is
+    not a saved program raises :class:`TraceError`.
+    """
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy or .npz
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise TraceError(f"{path} is not a saved program (not an .npz archive)")
+    with archive:
         if "header" not in archive:
             raise TraceError(f"{path} is not a saved program (missing header)")
         header = json.loads(bytes(archive["header"]).decode())

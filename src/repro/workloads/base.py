@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.memory.address import Allocator
 from repro.trace.builder import TraceBuilder
-from repro.trace.ops import OP_READ, Program
+from repro.trace.ops import Program
 
 #: simulated word size in bytes (1995-era 32-bit data words)
 WORD = 4
@@ -73,20 +73,6 @@ class WorkloadContext:
             [builder.build() for builder in self.builders],
             home=home,
             meta=meta,
-        )
-
-    def stream_private(self, proc, base, n_words, stride_words=8, read_frac=1.0):
-        """Stream over a private region (capacity pressure: models the rest
-        of a program's data set).  ``stride_words=8`` touches one word per
-        32-byte block.  With ``read_frac < 1`` each word is kept on one
-        ``rng.random()`` draw, drawn in word order."""
-        words = np.arange(0, n_words, stride_words)
-        if read_frac < 1.0:
-            words = words[self.rng.random(len(words)) < read_frac]
-        self.builders[proc].extend(
-            np.zeros(len(words), dtype=np.int64),
-            np.full(len(words), OP_READ, dtype=np.uint8),
-            base + words * WORD,
         )
 
 

@@ -36,7 +36,7 @@ time, in the order the replay reproduces.
 import numpy as np
 
 from repro.trace.ops import OP_READ, OP_WRITE
-from repro.workloads.base import RAW, WORD, WorkloadContext, replay_bounded, spread_indices
+from repro.workloads.base import BLOCK, RAW, WORD, WorkloadContext, replay_bounded, spread_indices
 
 #: ``random()`` keeps a raw word's top 53 bits: ``(w >> 11) * 2**-53``.
 _DOUBLE = 2.0**-53
@@ -221,11 +221,17 @@ def em3d(
     h_edges = _edge_table(ctx.rng, n_procs, nodes_per_proc, degree, remote_frac)  # H reads E
 
     # Per node: read its neighbours' values and its own edge list,
-    # compute, write its value.
-    node_gaps = np.tile([0] * (degree + 1) + [compute_per_node], nodes_per_proc)
-    node_kinds = np.tile(
-        np.array([OP_READ] * (degree + 1) + [OP_WRITE], dtype=np.uint8), nodes_per_proc
-    )
+    # compute, write its value.  Then stream the private region: one read
+    # per 32-byte block.
+    private = np.arange(0, private_words, BLOCK // WORD) * WORD
+    gaps = np.concatenate([
+        np.tile([0] * (degree + 1) + [compute_per_node], nodes_per_proc),
+        np.zeros(len(private), dtype=np.int64),
+    ])
+    kinds = np.concatenate([
+        np.tile(np.array([OP_READ] * (degree + 1) + [OP_WRITE], dtype=np.uint8), nodes_per_proc),
+        np.full(len(private), OP_READ, dtype=np.uint8),
+    ])
     nodes = np.arange(nodes_per_proc)
 
     def phase_addrs(read_bases, write_bases, edges, edge_offset):
@@ -237,14 +243,13 @@ def em3d(
             neighbours = read_bases[owner] + offset * WORD
             edge_list = edge_base[proc] + (edge_offset + nodes * degree) * WORD
             value = write_bases[proc] + nodes * WORD
-            by_proc.append(np.column_stack([neighbours, edge_list, value]).ravel())
+            node_addrs = np.column_stack([neighbours, edge_list, value]).ravel()
+            by_proc.append(np.concatenate([node_addrs, priv_base[proc] + private]))
         return by_proc
 
     def phase(addrs):
         for proc in range(n_procs):
-            ctx.builders[proc].extend(node_gaps, node_kinds, addrs[proc])
-            if private_words:
-                ctx.stream_private(proc, priv_base[proc], private_words)
+            ctx.builders[proc].extend(gaps, kinds, addrs[proc])
         ctx.barrier_all()
 
     e_phase = phase_addrs(h_base, e_base, e_edges, 0)  # E phase: read H, write E

@@ -69,7 +69,8 @@ def _context(name, n_procs, seed):
 
 
 def stream_private(ctx, proc, base, n_words, stride_words=8, read_frac=1.0):
-    """``WorkloadContext.stream_private``, one draw and one read per word."""
+    """A private-region stream (``em3d``'s capacity pressure), one draw
+    and one read per word."""
     builder = ctx.builders[proc]
     for word in range(0, n_words, stride_words):
         if read_frac >= 1.0 or ctx.rng.random() < read_frac:

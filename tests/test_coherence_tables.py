@@ -20,7 +20,7 @@ from repro.coherence.events import (
     DirEvent,
     DirState,
 )
-from repro.coherence.table import DEFENSIVE, ERROR, MULTIBLOCK, NORMAL
+from repro.coherence.table import DEFENSIVE, ERROR, MULTIBLOCK, NORMAL, TransitionTable
 from repro.coherence.variants import Bugs, NO_BUGS, enumerate_variants
 from repro.config import IdentifyScheme
 
@@ -58,6 +58,16 @@ class TestConstruction:
             assert cache.transitions and directory.transitions
             cache.validate()
             directory.validate()
+
+    def test_cell_ending_in_a_guarded_row_refused(self):
+        """Each cell ends in an unguarded row, so some row always matches:
+        a table whose (E, EVICT) cell lost its fallback row is refused."""
+        variant = by_label("SC")
+        table = cache_table(variant)
+        fallback = the_row(table, CacheState.E, CacheEvent.EVICT)
+        rows = [row for row in table.transitions if row is not fallback]
+        with pytest.raises(AssertionError, match=r"\(E, Evict\) ends in a guarded row"):
+            TransitionTable(table.name, variant, rows)
 
     def test_tables_are_memoized(self):
         variant = ALL_VARIANTS[0]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.process import Process, Timeout, Waiter
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
 from repro.errors import DeadlockError, SimulationError
@@ -159,94 +158,6 @@ class TestSimulator:
         sim.schedule(1, inner)
         sim.run()
         assert caught
-
-
-class TestProcess:
-    def test_timeout_resumes(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            log.append(("start", sim.now))
-            yield Timeout(5)
-            log.append(("after", sim.now))
-
-        Process(sim, proc())
-        sim.run()
-        assert log == [("start", 0), ("after", 5)]
-
-    def test_waiter_passes_value(self):
-        sim = Simulator()
-        waiter = Waiter()
-        got = []
-
-        def proc():
-            value = yield waiter
-            got.append(value)
-
-        Process(sim, proc())
-        sim.schedule(10, waiter.trigger, "payload")
-        sim.run()
-        assert got == ["payload"]
-
-    def test_waiter_already_fired(self):
-        sim = Simulator()
-        waiter = Waiter()
-        waiter.trigger(99)
-        got = []
-
-        def proc():
-            got.append((yield waiter))
-
-        Process(sim, proc())
-        sim.run()
-        assert got == [99]
-
-    def test_waiter_double_trigger_rejected(self):
-        waiter = Waiter()
-        waiter.trigger()
-        with pytest.raises(SimulationError):
-            waiter.trigger()
-
-    def test_join(self):
-        sim = Simulator()
-        results = []
-
-        def worker():
-            yield Timeout(7)
-            return "done"
-
-        def watcher(process):
-            result = yield process.join()
-            results.append((sim.now, result))
-
-        process = Process(sim, worker())
-        Process(sim, watcher(process))
-        sim.run()
-        assert results == [(7, "done")]
-
-    def test_join_after_completion(self):
-        sim = Simulator()
-
-        def empty():
-            return
-            yield  # pragma: no cover
-
-        process = Process(sim, empty())
-        sim.run()
-        assert process.done
-        waiter = process.join()
-        assert waiter.fired
-
-    def test_bad_yield_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield 42
-
-        Process(sim, proc())
-        with pytest.raises(SimulationError):
-            sim.run()
 
 
 class TestResource:

@@ -1,81 +1,10 @@
-"""Additional engine coverage: process composition, resource chains,
-and simulator interplay used by examples."""
+"""Additional engine coverage: resource chains and simulator edge
+cases."""
 
 import pytest
 
-from repro.engine.process import Process, Timeout, Waiter
 from repro.engine.resource import Resource
 from repro.engine.simulator import Simulator
-
-
-class TestProcessComposition:
-    def test_pipeline_of_processes(self):
-        """Producer hands values to a consumer through waiters."""
-        sim = Simulator()
-        handoffs = [Waiter() for _ in range(3)]
-        log = []
-
-        def producer():
-            for index, waiter in enumerate(handoffs):
-                yield Timeout(10)
-                waiter.trigger(index)
-
-        def consumer():
-            for waiter in handoffs:
-                value = yield waiter
-                log.append((sim.now, value))
-
-        Process(sim, producer())
-        Process(sim, consumer())
-        sim.run()
-        assert log == [(10, 0), (20, 1), (30, 2)]
-
-    def test_fork_join(self):
-        sim = Simulator()
-        results = []
-
-        def worker(delay, tag):
-            yield Timeout(delay)
-            return tag
-
-        def coordinator():
-            workers = [Process(sim, worker(d, t)) for d, t in ((30, "slow"), (10, "fast"))]
-            for process in workers:
-                value = yield process.join()
-                results.append((sim.now, value))
-
-        Process(sim, coordinator())
-        sim.run()
-        # Joins in order: waits for slow (30) first, fast already done.
-        assert results == [(30, "slow"), (30, "fast")]
-
-    def test_zero_timeout(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            yield Timeout(0)
-            log.append(sim.now)
-
-        Process(sim, proc())
-        sim.run()
-        assert log == [0]
-
-    def test_many_processes_deterministic(self):
-        def run_once():
-            sim = Simulator()
-            order = []
-
-            def proc(tag, delay):
-                yield Timeout(delay)
-                order.append(tag)
-
-            for i in range(20):
-                Process(sim, proc(i, (i * 7) % 5))
-            sim.run()
-            return order
-
-        assert run_once() == run_once()
 
 
 class TestResourceChains:

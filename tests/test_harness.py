@@ -253,6 +253,32 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"run: {message}")
 
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            pytest.param([verb, "--trace", "{path}", "--procs", "4"], problem,
+                         id=f"{verb}-{problem}")
+            for verb in ("run", "trace", "why", "analyze", "describe")
+            for problem in ("missing", "not-a-program")
+        ] + [
+            pytest.param(["gen", "--workload", "em3d", "--quick", "--procs", "4",
+                          "-o", "{path}"], "missing-directory", id="gen-missing-directory"),
+        ],
+    )
+    def test_unusable_path_fails_in_one_line(self, argv, problem, tmp_path, capsys):
+        path = tmp_path / "program.npz"
+        if problem == "not-a-program":
+            path.write_text("not a saved program\n")
+        elif problem == "missing-directory":
+            path = tmp_path / "missing" / "program.npz"
+        argv = [str(path) if arg == "{path}" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert str(path) in captured.err
+
     def test_single_experiment_quick(self, capsys):
         assert cli.main(["figure5", "--quick", "--procs", "4"]) == 0
         out = capsys.readouterr().out

@@ -147,23 +147,6 @@ class TestVersionWraparound:
         assert result.misses.si_marked_fills == 5
 
 
-class TestMeshThroughMachine:
-    def test_machine_on_mesh(self):
-        from repro.network.topology import MeshNetwork
-
-        def build(b0, b1, ctx):
-            for i in range(4):
-                b0.write(seg_addr(1, 32 * i))
-                b1.read(seg_addr(0, 32 * i))
-                ctx.barrier_all()
-
-        program = two_proc_program(build)
-        mesh = Machine(tiny_config(), program, network_cls=MeshNetwork).run()
-        flat = Machine(tiny_config(), program).run()
-        assert mesh.exec_time > 0
-        assert mesh.messages.total_network() == flat.messages.total_network()
-
-
 class TestUpgradeRaceEndToEnd:
     def test_competing_upgrades(self):
         """Both processors hold the block shared and upgrade at once: one

@@ -39,7 +39,7 @@ class TestRecording:
         assert local and remote  # block homed on node 0: P0 local, P1 remote
 
     def test_limit(self):
-        tracer = traced_run({"limit": 3})
+        tracer = traced_run({"max_events": 3})
         assert len(tracer) == 3
         assert tracer.full
 
@@ -53,11 +53,6 @@ class TestRecording:
         tracer = MessageTracer()
         assert tracer.max_events == 100_000
         assert not tracer.full and tracer.dropped == 0
-
-    def test_max_events_wins_over_limit(self):
-        tracer = MessageTracer(limit=5, max_events=7)
-        assert tracer.max_events == 7
-        assert tracer.limit == 7
 
     def test_block_filter(self):
         block = seg_addr(0) >> 5
@@ -114,7 +109,7 @@ class TestQueries:
         assert any(e.kind == "GETS" for e in channel)
 
     def test_format(self):
-        tracer = traced_run({"limit": 5})
+        tracer = traced_run({"max_events": 5})
         text = tracer.format()
         assert "message" in text and "path" in text
         # 2 header lines, 5 event rows, 1 drop-count line.

@@ -1,8 +1,7 @@
 """The bulk generators reproduce their scalar references byte for byte.
 
 ``scalar_workloads`` holds the per-op loops that ``barnes``, ``sparse``,
-``tomcatv``, ``ocean`` and ``em3d`` (with
-``WorkloadContext.stream_private``) were before they built each phase
+``tomcatv``, ``ocean`` and ``em3d`` were before they built each phase
 with numpy.  Every trace field must match in dtype and bytes, and the
 program's name, home and meta must match too.  ``barnes`` batches its
 RNG draws and ``em3d`` replays its edge tables from raw PCG64 words,
@@ -91,24 +90,6 @@ def test_matches_scalar_reference(name, n_procs, scale, seed):
 )
 def test_matches_scalar_reference_extra(name, kwargs):
     check(name, **kwargs)
-
-
-@pytest.mark.parametrize("read_frac", [1.0, 0.3])
-def test_stream_private_matches_scalar_draws(read_frac):
-    """One ``rng.random(n)`` call keeps the same words as ``n`` scalar
-    draws and leaves the generator in the same state."""
-    bulk = WorkloadContext("t", 1, seed=5)
-    scalar = WorkloadContext("t", 1, seed=5)
-    scalar.builders = [scalar_workloads.ListBuilder()]
-    base = bulk.alloc_words(0, 4096)
-    assert scalar.alloc_words(0, 4096) == base
-    bulk.stream_private(0, base, 4096, read_frac=read_frac)
-    scalar_workloads.stream_private(scalar, 0, base, 4096, read_frac=read_frac)
-    got, want = bulk.builders[0].build(), scalar.builders[0].build()
-    assert np.array_equal(got.addrs, want.addrs)
-    assert np.array_equal(got.gaps, want.gaps)
-    assert 0 < len(got) <= 512
-    assert bulk.rng.random() == scalar.rng.random()
 
 
 def test_barnes_rejected_draw_replays_one_call_at_a_time(monkeypatch):

@@ -221,10 +221,3 @@ class TestWorkloadContext:
         ctx.barrier_all()
         program = ctx.program()
         assert all(t.barrier_count() == 2 for t in program.traces)
-
-    def test_stream_private_touches_blocks(self):
-        ctx = WorkloadContext("t", 1)
-        base = ctx.alloc_words(0, 64)
-        ctx.stream_private(0, base, 64, stride_words=8)
-        trace = ctx.builders[0].build()
-        assert len(trace) == 8
