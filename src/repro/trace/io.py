@@ -32,23 +32,26 @@ def load_program(path):
     A ``path`` that cannot be read raises :class:`OSError`; a file that is
     not a saved program raises :class:`TraceError`.
     """
-    try:
-        archive = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy or .npz
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise TraceError(f"{path} is not a saved program (not an .npz archive)")
-    with archive:
-        if "header" not in archive:
-            raise TraceError(f"{path} is not a saved program (missing header)")
-        header = json.loads(bytes(archive["header"]).decode())
-        traces = []
-        for proc in range(header["n_procs"]):
-            traces.append(
-                Trace(
-                    archive[f"gaps_{proc}"],
-                    archive[f"kinds_{proc}"],
-                    archive[f"addrs_{proc}"],
+    # numpy leaves a path it opened unclosed when the zip is broken, so
+    # the file is opened here.
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle)
+        except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy or .npz
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise TraceError(f"{path} is not a saved program (not an .npz archive)")
+        with archive:
+            if "header" not in archive:
+                raise TraceError(f"{path} is not a saved program (missing header)")
+            header = json.loads(bytes(archive["header"]).decode())
+            traces = []
+            for proc in range(header["n_procs"]):
+                traces.append(
+                    Trace(
+                        archive[f"gaps_{proc}"],
+                        archive[f"kinds_{proc}"],
+                        archive[f"addrs_{proc}"],
+                    )
                 )
-            )
     return Program(header["name"], traces, home=header["home"], meta=header["meta"])

@@ -259,7 +259,7 @@ class TestCli:
             pytest.param([verb, "--trace", "{path}", "--procs", "4"], problem,
                          id=f"{verb}-{problem}")
             for verb in ("run", "trace", "why", "analyze", "describe")
-            for problem in ("missing", "not-a-program")
+            for problem in ("missing", "not-a-program", "broken-zip")
         ] + [
             pytest.param(["gen", "--workload", "em3d", "--quick", "--procs", "4",
                           "-o", "{path}"], "missing-directory", id="gen-missing-directory"),
@@ -269,6 +269,8 @@ class TestCli:
         path = tmp_path / "program.npz"
         if problem == "not-a-program":
             path.write_text("not a saved program\n")
+        elif problem == "broken-zip":
+            path.write_bytes(b"PK\x03\x04 cut short")
         elif problem == "missing-directory":
             path = tmp_path / "missing" / "program.npz"
         argv = [str(path) if arg == "{path}" else arg for arg in argv]
