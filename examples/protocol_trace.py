@@ -11,7 +11,8 @@ Run:  python examples/protocol_trace.py
 """
 
 from repro import IdentifyScheme, Machine, SystemConfig
-from repro.stats.tracer import MessageTracer, attach_tracer
+from repro.obs import Instrument
+from repro.stats.tracer import MessageTracer
 from repro.workloads.base import WorkloadContext
 
 
@@ -30,9 +31,8 @@ def conflict_program(rounds):
 
 def trace(config, rounds=2):
     program, block = conflict_program(rounds)
-    machine = Machine(config, program)
-    tracer = attach_tracer(machine, MessageTracer(blocks=[block]))
-    machine.run()
+    tracer = MessageTracer(blocks=[block])
+    Machine(config, program, instrument=Instrument(messages=tracer)).run()
     return tracer
 
 

@@ -33,7 +33,7 @@ from repro.errors import (
     SimulationError,
     TraceError,
 )
-from repro.stats.report import RunResult, format_breakdown_table, format_table
+from repro.stats.report import format_breakdown_table, format_table
 from repro.system import Machine, simulate
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program, Trace
@@ -51,7 +51,6 @@ __all__ = [
     "Program",
     "ProtocolError",
     "ReproError",
-    "RunResult",
     "SIMechanism",
     "SimulationError",
     "SystemConfig",

@@ -60,7 +60,6 @@ from repro.harness.configs import (
 )
 from repro.harness.experiment import ExperimentRunner
 from repro.stats.ascii_chart import stacked_bars
-from repro.stats.record import RunRecord
 from repro.stats.report import format_table
 from repro.system import Machine
 from repro.trace.io import load_program, save_program
@@ -186,8 +185,9 @@ def build_parser():
         type=int,
         default=0,
         metavar="N",
-        help="run: print the first N protocol messages (further messages "
-        "are counted and reported as dropped)",
+        help="run/trace: print the first N messages of the run's message "
+        "log (trace default: 40, or 200 with --block/--txn); N bounds the "
+        "printout, not the log or a --perfetto export",
     )
     # observability options
     parser.add_argument(
@@ -315,10 +315,12 @@ def _telemetry_config(args):
 
 
 def _refused_flag(args, sweeps):
-    """The one-line complaint for a harness flag that would do nothing,
-    or ``None``.  ``--log``/``--profile``/``--profile-dir`` act only on
-    verbs that run a RunPool sweep (``sweeps``); ``report --perfetto``
-    has no harness trace to write."""
+    """The one-line complaint for a flag that would do nothing or could
+    only fail, or ``None``.  ``--log``/``--profile``/``--profile-dir`` act
+    only on verbs that run a RunPool sweep (``sweeps``); ``report
+    --perfetto`` has no harness trace to write; an ``-o``, ``--perfetto``
+    or ``--metrics`` path into a missing directory is refused before
+    anything runs, not after the simulation it was to record."""
     verb = args.experiment
     if args.profile_dir and not args.profile:
         return f"{verb}: --profile-dir needs --profile"
@@ -338,6 +340,10 @@ def _refused_flag(args, sweeps):
             "report: --perfetto does nothing here; it exports instrumented "
             "runs (run, trace, why, analyze)"
         )
+    for flag, path in (("-o", args.output), ("--perfetto", args.perfetto), ("--metrics", args.metrics)):
+        directory = os.path.dirname(path or "")
+        if directory and not os.path.isdir(directory):
+            return f"{verb}: {flag} {path}: no such directory {directory}"
     return None
 
 
@@ -392,8 +398,8 @@ def _dispatch(argv):
         return verb(args)
     except ConfigError as exc:
         # A flag value the configuration refuses (a protocol label, a
-        # cache size, a latency, an unwritable telemetry path): one line,
-        # as for a size below one.
+        # cache size, a latency, an unwritable telemetry path, a missing
+        # or unknown workload): one line, as for a size below one.
         print(f"{args.experiment}: {exc}", file=sys.stderr)
         return 2
 
@@ -575,29 +581,34 @@ def _bars(args):
 
 
 def _load_run_program(args):
+    """The program ``--trace`` or ``--workload`` names; a missing or
+    unreadable trace, or a missing or unknown workload, raises
+    :class:`ConfigError`."""
     if args.trace:
         try:
             return load_program(args.trace)
         except (OSError, TraceError) as exc:
-            print(f"{args.experiment}: {exc}", file=sys.stderr)
-            return None
+            raise ConfigError(str(exc)) from exc
     if not args.workload:
-        print("run: need --workload or --trace", file=sys.stderr)
-        return None
+        raise ConfigError("need --workload or --trace")
+    return _generate_program(args)
+
+
+def _generate_program(args):
+    """The ``--workload`` program at the ``--quick``/``--procs`` scale."""
     try:
         return by_name(
             args.workload,
             **workload_args(args.workload, quick=args.quick, n_procs=args.procs),
         )
     except KeyError as exc:
-        print(f"unknown workload {exc.args[0]}", file=sys.stderr)
-        return None
+        raise ConfigError(exc.args[0]) from None
 
 
 def _make_instrument(args):
-    """An :class:`~repro.obs.Instrument` when any observability output was
-    requested, else None (probes stay disabled: zero overhead)."""
-    if not (args.perfetto or args.metrics):
+    """An :class:`~repro.obs.Instrument` when an export or the message
+    table was requested, else None (probes stay disabled: zero overhead)."""
+    if not (args.perfetto or args.metrics or args.show_trace):
         return None
     from repro.obs import Instrument
 
@@ -617,20 +628,6 @@ def _write_obs_outputs(args, instrument, extra):
         print(f"# wrote metrics dump -> {args.metrics}", file=sys.stderr)
 
 
-def _tracer_telemetry(tracer):
-    """Run context for the metrics dump: what the MessageTracer kept and,
-    crucially, what it dropped (a truncated log is only trustworthy when
-    the truncation is visible)."""
-    if tracer is None:
-        return None
-    return {
-        "events": len(tracer),
-        "dropped": tracer.dropped,
-        "max_events": tracer.max_events,
-        "blocks": sorted(tracer.blocks) if tracer.blocks else None,
-    }
-
-
 def _run_config(args, protocol, n_procs):
     """The config the run flags describe for ``protocol``; a value it
     refuses raises :class:`ConfigError`."""
@@ -647,20 +644,11 @@ def _run_config(args, protocol, n_procs):
 def _run_one(args):
     """One simulation with the full statistics dump."""
     program = _load_run_program(args)
-    if program is None:
-        return 2
     config = _run_config(args, args.protocol, program.n_procs)
     instrument = _make_instrument(args)
     started = time.perf_counter()
-    machine = Machine(config, program, instrument=instrument)
-    tracer = None
-    if args.show_trace:
-        from repro.stats.tracer import MessageTracer, attach_tracer
-
-        tracer = attach_tracer(machine, MessageTracer(max_events=args.show_trace))
-    result = machine.run()
+    record = Machine(config, program, instrument=instrument).run()
     wall = time.perf_counter() - started
-    record = RunRecord.from_result(result)
     record.set_timing(wall)
     extra = {
         "workload": program.describe(),
@@ -668,8 +656,6 @@ def _run_one(args):
         "wall_time_s": record.wall_time_s,
         "sim_cycles_per_s": record.sim_cycles_per_s,
     }
-    if tracer is not None:
-        extra["message_trace"] = _tracer_telemetry(tracer)
     _write_obs_outputs(args, instrument, extra=extra)
     if args.as_json:
         payload = {
@@ -682,30 +668,30 @@ def _run_one(args):
         }
         print(json.dumps(payload, indent=2))
         return 0
-    if tracer is not None:
-        print(tracer.format())
+    if args.show_trace:
+        print(instrument.messages.format(limit=args.show_trace))
         print()
     print(f"workload: {program.describe()}")
     print(f"protocol: {config.describe()}  cache={config.cache_size // 1024}KB "
           f"net={config.network_latency}\n")
-    fractions = result.aggregate_breakdown().fractions()
+    fractions = record.aggregate_breakdown().fractions()
     rows = [[category, f"{fractions[category]:.3f}"] for category in fractions if fractions[category]]
     print(format_table(["category", "fraction"], rows, title="execution-time breakdown"))
     print()
-    message_rows = sorted(result.messages.network.items())
+    message_rows = sorted(record.messages.network.items())
     print(format_table(["message", "count"], message_rows, title="network messages"))
     print()
-    print(f"execution time: {result.exec_time} cycles")
-    print(f"miss rate: {result.misses.miss_rate():.4f}")
-    print(f"self-invalidations: {result.misses.self_invalidations}")
-    print(f"directory occupancy: {result.dir_occupancy():.3f}")
+    print(f"execution time: {record.exec_time} cycles")
+    print(f"miss rate: {record.misses.miss_rate():.4f}")
+    print(f"self-invalidations: {record.misses.self_invalidations}")
+    print(f"directory occupancy: {record.dir_occupancy():.3f}")
     if record.sim_cycles_per_s:
         print(
-            f"({result.events_fired} events in {wall:.1f}s, "
+            f"({record.events_fired} events in {wall:.1f}s, "
             f"{record.sim_cycles_per_s:,.0f} cycles/s)"
         )
     else:
-        print(f"({result.events_fired} events in {wall:.1f}s)")
+        print(f"({record.events_fired} events in {wall:.1f}s)")
     return 0
 
 
@@ -713,35 +699,28 @@ def _trace(args):
     """Instrumented run with an on-terminal coherence timeline.
 
     Always attaches the instrument (the point of the verb is to look
-    inside the run); ``--block`` narrows the message table to chosen
+    inside the run); ``--block`` narrows its message log to chosen
     blocks, ``--txn`` narrows it to chosen causal transactions and
     replays each as an ASCII chain, ``--perfetto``/``--metrics``
-    additionally export the trace.
+    additionally export the trace (its message instants are that log).
     """
     from repro.obs import CausalInstrument, Instrument, ascii_timeline, format_txn
-    from repro.stats.tracer import MessageTracer, attach_tracer
+    from repro.stats.tracer import MessageTracer
 
     if args.target and not args.workload and not args.trace:
         args.workload = args.target
     program = _load_run_program(args)
-    if program is None:
-        return 2
     config = _run_config(args, args.protocol, program.n_procs)
     txns = set(args.txn) if args.txn else None
+    log = MessageTracer(blocks=args.block, txns=txns)
     # --txn needs the causal stitcher; ids are deterministic across
     # instrumented runs, so an id from 'dsi-sim why' replays here.
-    instrument = CausalInstrument(keep_txns=txns) if txns else Instrument()
+    if txns:
+        instrument = CausalInstrument(keep_txns=txns, messages=log)
+    else:
+        instrument = Instrument(messages=log)
     started = time.perf_counter()
-    machine = Machine(config, program, instrument=instrument)
-    tracer = attach_tracer(
-        machine,
-        MessageTracer(
-            blocks=args.block,
-            txns=txns,
-            max_events=args.show_trace or (200 if (args.block or txns) else 40),
-        ),
-    )
-    result = machine.run()
+    result = Machine(config, program, instrument=instrument).run()
     wall = time.perf_counter() - started
     print(f"workload: {program.describe()}")
     print(f"protocol: {config.describe()}  cache={config.cache_size // 1024}KB "
@@ -755,7 +734,7 @@ def _trace(args):
         scopes.append(f"txns {sorted(txns)}")
     scope = f" ({', '.join(scopes)})" if scopes else ""
     print(f"messages{scope}:")
-    print(tracer.format())
+    print(log.format(limit=args.show_trace or (200 if scopes else 40)))
     print()
     if txns:
         for txn_id in sorted(txns):
@@ -799,11 +778,7 @@ def _trace(args):
     _write_obs_outputs(
         args,
         instrument,
-        extra={
-            "workload": program.describe(),
-            "protocol": config.describe(),
-            "message_trace": _tracer_telemetry(tracer),
-        },
+        extra={"workload": program.describe(), "protocol": config.describe()},
     )
     return 0
 
@@ -823,8 +798,6 @@ def _why(args):
         # (check-protocol keeps its substring-filter meaning).
         args.protocol = args.variant
     program = _load_run_program(args)
-    if program is None:
-        return 2
     # Both configs first, so a refused --diff label runs nothing.
     config = _run_config(args, args.protocol, program.n_procs)
     base_config = _run_config(args, args.diff, program.n_procs) if args.diff else None
@@ -892,8 +865,6 @@ def _analyze(args):
     if args.target and not args.workload and not args.trace:
         args.workload = args.target
     program = _load_run_program(args)
-    if program is None:
-        return 2
     config = _run_config(args, args.protocol, program.n_procs)
     instrument = AnalyticsInstrument(audit=not args.no_audit)
     started = time.perf_counter()
@@ -1049,8 +1020,6 @@ def _describe(args):
     from repro.stats.profile import analyze_program
 
     program = _load_run_program(args)
-    if program is None:
-        return 2
     print(analyze_program(program).format())
     return 0
 
@@ -1060,9 +1029,7 @@ def _generate(args):
     if not args.workload or not args.output:
         print("gen: need --workload and --output", file=sys.stderr)
         return 2
-    program = by_name(
-        args.workload, **workload_args(args.workload, quick=args.quick, n_procs=args.procs)
-    )
+    program = _generate_program(args)
     try:
         save_program(program, args.output)
     except OSError as exc:

@@ -20,27 +20,8 @@ import json
 from dataclasses import dataclass, fields
 
 from repro.config import SystemConfig
-from repro.errors import ReproError
-from repro.stats.record import RunRecord
 from repro.system import Machine
-from repro.workloads import CATALOG, EXTRAS, by_name
-
-
-class SpecValidationError(ReproError):
-    """A JSON RunSpec payload failed strict validation.
-
-    Raised by :meth:`RunSpec.from_dict` with *every* problem collected
-    (not just the first), so one error names everything wrong with a
-    spec.  ``errors`` is a JSON-safe list of
-    ``{"field", "value", "reason"}`` dicts.
-    """
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        summary = "; ".join(
-            f"{entry['field']}: {entry['reason']}" for entry in self.errors
-        )
-        super().__init__(f"invalid RunSpec payload — {summary}")
+from repro.workloads import by_name
 
 
 @dataclass(frozen=True)
@@ -81,15 +62,13 @@ class RunSpec:
         if program is None:
             program = self.build_program()
         with Machine(self.config, program) as machine:
-            if observer is not None:
-                observer.attach(machine)
-                try:
-                    result = machine.run()
-                finally:
-                    observer.detach()
-            else:
-                result = machine.run()
-        return RunRecord.from_result(result)
+            if observer is None:
+                return machine.run()
+            observer.attach(machine)
+            try:
+                return machine.run()
+            finally:
+                observer.detach()
 
     # ------------------------------------------------------------------
     def to_dict(self):
@@ -106,118 +85,12 @@ class RunSpec:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
-    @classmethod
-    def from_dict(cls, payload):
-        """Rebuild a spec from its :meth:`to_dict` form — strictly.
-
-        A JSON spec comes from outside the process, so this rejects
-        rather than guesses: unknown top-level or config fields, an
-        unregistered workload, non-scalar generator arguments, bad enum
-        values and type mismatches all fail with a
-        :class:`SpecValidationError` carrying *every* problem found.
-        Semantic constraints (``SystemConfig.__post_init__``) are checked
-        last and reported the same way.  Round trip:
-        ``RunSpec.from_dict(spec.to_dict()) == spec`` (same cache key).
-        """
-        errors = []
-
-        def bad(field, value, reason):
-            errors.append({"field": field, "value": _safe(value), "reason": reason})
-
-        if not isinstance(payload, dict):
-            raise SpecValidationError(
-                [{"field": "", "value": _safe(payload),
-                  "reason": f"spec must be a JSON object, not {type(payload).__name__}"}]
-            )
-        for name in sorted(set(payload) - {"workload", "workload_args", "config"}):
-            bad(name, payload[name], "unknown field (have: workload, workload_args, config)")
-
-        workload = payload.get("workload")
-        if workload is None:
-            bad("workload", None, "required field is missing")
-        elif not isinstance(workload, str):
-            bad("workload", workload, "must be a workload name (string)")
-        elif workload not in CATALOG and workload not in EXTRAS:
-            known = ", ".join(sorted(CATALOG) + sorted(EXTRAS))
-            bad("workload", workload, f"unknown workload (have: {known})")
-
-        args = payload.get("workload_args", {})
-        if not isinstance(args, dict):
-            bad("workload_args", args, "must be an object of generator arguments")
-            args = {}
-        else:
-            for name in sorted(args):
-                value = args[name]
-                if not isinstance(name, str):
-                    bad(f"workload_args.{name}", value, "argument names must be strings")
-                elif not isinstance(value, (bool, int, float, str)):
-                    bad(
-                        f"workload_args.{name}", value,
-                        "generator arguments must be JSON scalars "
-                        f"(got {type(value).__name__})",
-                    )
-
-        config_payload = payload.get("config", {})
-        config_fields = {}
-        if not isinstance(config_payload, dict):
-            bad("config", config_payload, "must be an object of SystemConfig fields")
-        else:
-            known = {field.name: field for field in fields(SystemConfig)}
-            for name in sorted(config_payload):
-                value = config_payload[name]
-                field = known.get(name)
-                where = f"config.{name}"
-                if field is None:
-                    bad(where, value, "unknown SystemConfig field")
-                    continue
-                default = field.default
-                if isinstance(default, enum.Enum):
-                    enum_type = type(default)
-                    try:
-                        config_fields[name] = (
-                            value if isinstance(value, enum_type) else enum_type(value)
-                        )
-                    except ValueError:
-                        have = ", ".join(repr(member.value) for member in enum_type)
-                        bad(where, value, f"bad {enum_type.__name__} value (have: {have})")
-                elif isinstance(default, bool):
-                    if not isinstance(value, bool):
-                        bad(where, value, "must be a boolean")
-                    else:
-                        config_fields[name] = value
-                elif isinstance(default, int):
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        bad(where, value, "must be an integer")
-                    else:
-                        config_fields[name] = value
-                else:  # pragma: no cover - no such fields today
-                    config_fields[name] = value
-        if errors:
-            raise SpecValidationError(errors)
-        try:
-            config = SystemConfig(**config_fields)
-        except ReproError as exc:
-            raise SpecValidationError(
-                [{"field": "config", "value": None, "reason": str(exc)}]
-            ) from exc
-        return cls.create(workload, config, **args)
-
     def describe(self):
         """Short human-readable label, e.g. ``em3d/SC+DSI(V)``."""
         return f"{self.workload}/{self.config.describe()}"
 
     def __repr__(self):
         return f"RunSpec({self.describe()}, key={self.key()[:12]})"
-
-
-def _safe(value):
-    """A JSON-representable echo of a rejected value (error payloads must
-    always serialize, whatever garbage arrived)."""
-    try:
-        json.dumps(value)
-        return value
-    except (TypeError, ValueError):
-        return repr(value)
 
 
 def _config_dict(config):

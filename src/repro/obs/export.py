@@ -109,8 +109,10 @@ def to_perfetto(instrument, max_instants=20_000):
     """Render an :class:`~repro.obs.instrument.Instrument` as a Chrome
     trace-event dict (``json.dump`` it to get a loadable ``trace.json``).
 
-    ``max_instants`` bounds the per-message instant events (sends can
-    dwarf everything else); spans and counter tracks are always complete.
+    The message instants are the run's message log
+    (``instrument.messages``), of which ``max_instants`` bounds how many
+    are drawn (sends can dwarf everything else); spans and counter tracks
+    are always complete.
     """
     events = [
         _meta(PID_PROC, None, "processors", "process_name"),
@@ -154,19 +156,24 @@ def to_perfetto(instrument, max_instants=20_000):
     # Flow arrows stitching request/response across lanes.
     flows = _flow_events(instrument)
     events.extend(flows)
-    # Message sends as instant events on the network lane.
-    instants = instrument.message_events[:max_instants]
-    for time, kind, src, dst, block, is_network in instants:
+    # The run's message log as instant events on the network lane.
+    log = instrument.messages
+    for message in log.events[:max_instants]:
         events.append(
             {
-                "name": kind,
+                "name": message.kind,
                 "cat": "message",
                 "ph": "i",
                 "s": "t",
-                "ts": time,
+                "ts": message.time,
                 "pid": PID_NET,
                 "tid": 0,
-                "args": {"src": src, "dst": dst, "block": block, "network": is_network},
+                "args": {
+                    "src": message.src,
+                    "dst": message.dst,
+                    "block": message.block,
+                    "network": not message.local,
+                },
             }
         )
     return {
@@ -177,8 +184,7 @@ def to_perfetto(instrument, max_instants=20_000):
             "sim_cycles": instrument.now,
             "flows": len(flows) // 2,
             "spans_dropped": instrument.spans.dropped,
-            "messages_dropped": instrument.messages_dropped
-            + max(len(instrument.message_events) - max_instants, 0),
+            "messages_dropped": log.dropped + max(len(log) - max_instants, 0),
         },
     }
 
@@ -213,9 +219,9 @@ def metrics_dict(instrument):
         "series": series,
         "spans_recorded": len(instrument.spans.spans),
         "spans_dropped": instrument.spans.dropped,
-        "messages_dropped": instrument.messages_dropped,
+        "messages_dropped": instrument.messages.dropped,
         "dropped": {
-            "message_events": instrument.messages_dropped,
+            "message_events": instrument.messages.dropped,
             "spans": instrument.spans.dropped,
             "series_points": sum(
                 series_obj.dropped

@@ -12,9 +12,12 @@ so with no instrument attached (the default) the entire layer costs one
 attribute load and an ``is not None`` test per probe — the null case is
 decided once, at attach time, by storing ``None``.
 
-The instrument does three things with the probe stream:
+The instrument does four things with the probe stream:
 
 * **counts** every probe and every message kind;
+* **logs messages** into one :class:`~repro.stats.tracer.MessageTracer`
+  (``instrument.messages``), which feeds both the terminal message
+  tables and the Perfetto message instants;
 * **stitches spans** (:mod:`repro.obs.spans`): cache-side miss
   transactions (MSHR open → close), directory transactions (request →
   grant), invalidation round trips (INV → ack) and synchronization
@@ -33,6 +36,7 @@ from collections import Counter
 
 from repro.obs.samplers import Histogram, TimeSeries
 from repro.obs.spans import LANE_DIR, LANE_PROC, SpanTracker
+from repro.stats.tracer import MessageTracer
 
 #: Span categories with latency histograms.
 CATEGORIES = ("miss", "dir", "inv", "sync")
@@ -79,10 +83,11 @@ class Instrument:
 
     Parameters
     ----------
-    max_message_events:
-        Bound on individually-recorded message events (instants in the
-        Perfetto export).  Counting is never bounded; 0 disables the
-        per-message log entirely.
+    messages:
+        The run's message log, a :class:`~repro.stats.tracer.MessageTracer`
+        (default: an unfiltered one holding up to 100k messages).  Pass
+        one with ``blocks``/``txns`` filters to log only those messages;
+        counting is never filtered or bounded.
     max_spans:
         Bound on retained finished spans (latency histograms keep
         accumulating past it).
@@ -92,7 +97,7 @@ class Instrument:
     #: instance (the CLI's latency summary iterates them).
     CATEGORIES = CATEGORIES
 
-    def __init__(self, max_message_events=100_000, max_spans=200_000):
+    def __init__(self, messages=None, max_spans=200_000):
         self.sim = None
         self.n_processors = 0
         self.counts = Counter()
@@ -104,9 +109,7 @@ class Instrument:
         self.wb_series = {}
         self.dir_series = {}
         self.ni_series = {}
-        self.message_events = []
-        self.max_message_events = max_message_events
-        self.messages_dropped = 0
+        self.messages = MessageTracer() if messages is None else messages
         self._dir_open = Counter()
         self._next_txn_id = 0
 
@@ -151,13 +154,7 @@ class Instrument:
     def message_send(self, msg, is_network):
         self.counts["message_send"] += 1
         self.message_kinds[msg.kind.name] += 1
-        if self.max_message_events:
-            if len(self.message_events) < self.max_message_events:
-                self.message_events.append(
-                    (self.now, msg.kind.name, msg.src, msg.dst, msg.block, is_network)
-                )
-            else:
-                self.messages_dropped += 1
+        self.messages.record(self.now, msg, not is_network)
 
     def message_receive(self, msg, is_network):
         self.counts["message_receive"] += 1

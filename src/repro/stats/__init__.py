@@ -3,7 +3,7 @@
 from repro.stats.breakdown import Breakdown, CATEGORIES
 from repro.stats.counters import MessageCounters, MissCounters
 from repro.stats.record import RunRecord
-from repro.stats.report import RunResult, format_breakdown_table, format_table
+from repro.stats.report import format_breakdown_table, format_table
 
 __all__ = [
     "Breakdown",
@@ -11,7 +11,6 @@ __all__ = [
     "MessageCounters",
     "MissCounters",
     "RunRecord",
-    "RunResult",
     "format_breakdown_table",
     "format_table",
 ]

@@ -70,11 +70,6 @@ class Breakdown:
             return {name: 0.0 for name in CATEGORIES}
         return {name: getattr(self, name) / total for name in CATEGORIES}
 
-    def copy(self):
-        clone = Breakdown()
-        clone.merge(self)
-        return clone
-
     def __repr__(self):
         parts = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
         return f"Breakdown({parts})"

@@ -1,26 +1,22 @@
-"""Durable run records.
+"""Run records.
 
-A :class:`RunRecord` is the portable form of a
-:class:`~repro.stats.report.RunResult`: the same measured quantities —
+A :class:`RunRecord` is everything measured in one simulation run —
 execution time, per-processor stall breakdowns, message counts, cache
-statistics — detached from the live machine, pickle-safe for process
-pools and JSON round-trippable (:meth:`RunRecord.to_dict` /
+statistics.  :meth:`~repro.system.Machine.run` builds it from the
+machine's own counters, which are plain data, so a record holds nothing
+of the machine's component web: it is pickle-safe for process pools and
+JSON round-trippable (:meth:`RunRecord.to_dict` /
 :meth:`RunRecord.from_dict`) for the on-disk result cache.
-
-It subclasses ``RunResult``, so every consumer of a live result
-(``normalized_to``, ``aggregate_breakdown``, ``messages.invalidations()``,
-``misses.fifo_overflows``, ...) reads a record identically.
 """
 
 import math
 
 from repro.stats.breakdown import CATEGORIES, Breakdown
 from repro.stats.counters import MessageCounters, MissCounters
-from repro.stats.report import RunResult
 
 
-class RunRecord(RunResult):
-    """Everything measured in one simulation run, in portable form.
+class RunRecord:
+    """Everything measured in one simulation run.
 
     Beyond the simulated quantities a record carries *run telemetry* —
     ``wall_time_s`` (host seconds the simulation took) and
@@ -31,12 +27,71 @@ class RunRecord(RunResult):
     excluded from record equality.
     """
 
-    __slots__ = ("wall_time_s", "sim_cycles_per_s")
+    __slots__ = (
+        "label",
+        "workload",
+        "exec_time",
+        "per_proc_time",
+        "breakdowns",
+        "messages",
+        "misses",
+        "events_fired",
+        "dir_busy_cycles",
+        "ni_busy_cycles",
+        "wall_time_s",
+        "sim_cycles_per_s",
+    )
 
-    def __init__(self, *args, wall_time_s=None, sim_cycles_per_s=None, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        label,
+        workload,
+        exec_time,
+        per_proc_time,
+        breakdowns,
+        messages,
+        misses,
+        events_fired,
+        dir_busy_cycles=0,
+        ni_busy_cycles=0,
+        wall_time_s=None,
+        sim_cycles_per_s=None,
+    ):
+        self.label = label
+        self.workload = workload
+        self.exec_time = exec_time
+        self.per_proc_time = per_proc_time
+        self.breakdowns = breakdowns
+        self.messages = messages
+        self.misses = misses
+        self.events_fired = events_fired
+        self.dir_busy_cycles = dir_busy_cycles
+        self.ni_busy_cycles = ni_busy_cycles
         self.wall_time_s = wall_time_s
         self.sim_cycles_per_s = sim_cycles_per_s
+
+    def dir_occupancy(self):
+        """Mean directory-controller utilisation across the machine.
+
+        Table 3's discussion: eliminating messages reduces directory
+        occupancy "by the same amount" to first order — this lets the
+        harness check that claim directly.
+        """
+        if self.exec_time == 0 or not self.per_proc_time:
+            return 0.0
+        return self.dir_busy_cycles / (self.exec_time * len(self.per_proc_time))
+
+    def aggregate_breakdown(self):
+        total = Breakdown()
+        for breakdown in self.breakdowns:
+            total.merge(breakdown)
+        return total
+
+    def normalized_to(self, base):
+        """Execution time normalized to a baseline run."""
+        if base.exec_time == 0:
+            return 0.0
+        return self.exec_time / base.exec_time
 
     def set_timing(self, wall_time_s):
         """Record how long the simulation took on the host.
@@ -53,23 +108,6 @@ class RunRecord(RunResult):
             if not math.isfinite(rate):
                 rate = None
         self.sim_cycles_per_s = rate
-
-    @classmethod
-    def from_result(cls, result):
-        """Extract a record from a finished run (shares no machine state —
-        a ``RunResult``'s fields are already plain data)."""
-        return cls(
-            label=result.label,
-            workload=result.workload,
-            exec_time=result.exec_time,
-            per_proc_time=list(result.per_proc_time),
-            breakdowns=[b.copy() for b in result.breakdowns],
-            messages=_copy_messages(result.messages),
-            misses=_copy_misses(result.misses),
-            events_fired=result.events_fired,
-            dir_busy_cycles=result.dir_busy_cycles,
-            ni_busy_cycles=result.ni_busy_cycles,
-        )
 
     def to_dict(self):
         """JSON-serializable dict; inverse of :meth:`from_dict`."""
@@ -134,10 +172,6 @@ class RunRecord(RunResult):
             return NotImplemented
         return self._measured_dict() == other._measured_dict()
 
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return NotImplemented if equal is NotImplemented else not equal
-
     __hash__ = None
 
     def __repr__(self):
@@ -145,18 +179,3 @@ class RunRecord(RunResult):
             f"RunRecord({self.workload!r}, {self.label!r}, "
             f"exec_time={self.exec_time})"
         )
-
-
-def _copy_messages(messages):
-    clone = MessageCounters()
-    clone.network.update(messages.network)
-    clone.local.update(messages.local)
-    clone.data_blocks_sent = messages.data_blocks_sent
-    return clone
-
-
-def _copy_misses(misses):
-    clone = MissCounters()
-    for name in MissCounters.__slots__:
-        setattr(clone, name, getattr(misses, name))
-    return clone

@@ -1,82 +1,6 @@
-"""Run results and plain-text table formatting for the harness."""
+"""Plain-text table formatting for the harness."""
 
-from repro.stats.breakdown import CATEGORIES, Breakdown
-
-
-class RunResult:
-    """Everything measured in one simulation run."""
-
-    __slots__ = (
-        "label",
-        "workload",
-        "exec_time",
-        "per_proc_time",
-        "breakdowns",
-        "messages",
-        "misses",
-        "events_fired",
-        "dir_busy_cycles",
-        "ni_busy_cycles",
-    )
-
-    def __init__(
-        self,
-        label,
-        workload,
-        exec_time,
-        per_proc_time,
-        breakdowns,
-        messages,
-        misses,
-        events_fired,
-        dir_busy_cycles=0,
-        ni_busy_cycles=0,
-    ):
-        self.label = label
-        self.workload = workload
-        self.exec_time = exec_time
-        self.per_proc_time = per_proc_time
-        self.breakdowns = breakdowns
-        self.messages = messages
-        self.misses = misses
-        self.events_fired = events_fired
-        self.dir_busy_cycles = dir_busy_cycles
-        self.ni_busy_cycles = ni_busy_cycles
-
-    def dir_occupancy(self):
-        """Mean directory-controller utilisation across the machine.
-
-        Table 3's discussion: eliminating messages reduces directory
-        occupancy "by the same amount" to first order — this lets the
-        harness check that claim directly.
-        """
-        if self.exec_time == 0 or not self.per_proc_time:
-            return 0.0
-        return self.dir_busy_cycles / (self.exec_time * len(self.per_proc_time))
-
-    def aggregate_breakdown(self):
-        total = Breakdown()
-        for breakdown in self.breakdowns:
-            total.merge(breakdown)
-        return total
-
-    def normalized_to(self, base):
-        """Execution time normalized to a baseline run."""
-        if base.exec_time == 0:
-            return 0.0
-        return self.exec_time / base.exec_time
-
-    def summary(self):
-        agg = self.aggregate_breakdown()
-        return {
-            "label": self.label,
-            "workload": self.workload,
-            "exec_time": self.exec_time,
-            "messages": self.messages.total_network(),
-            "invalidations": self.messages.invalidations(),
-            "miss_rate": self.misses.miss_rate(),
-            "breakdown": agg.as_dict(),
-        }
+from repro.stats.breakdown import CATEGORIES
 
 
 def format_table(headers, rows, title=None):

@@ -1,11 +1,17 @@
-"""Protocol event tracing.
+"""The message log of an instrumented run.
 
-A :class:`MessageTracer` attached to a machine records every message the
-network carries — timestamp, kind, endpoints, block, flags — optionally
-filtered to a block set.  Useful for debugging protocol behaviour and for
-teaching: ``dsi-sim run --show-trace 40`` prints the first messages of a
-run, and :meth:`MessageTracer.block_history` reconstructs one block's
-whole coherence life.
+A :class:`MessageTracer` is where an :class:`~repro.obs.instrument.Instrument`
+records every message the network carries — timestamp, kind, endpoints,
+block, flags, causal transaction id — optionally filtered to a block or
+transaction set.  The one log feeds the terminal tables (``dsi-sim run
+--show-trace 40`` prints its first messages, ``dsi-sim trace`` a block's
+or a transaction's) and the Perfetto export's message instants;
+:meth:`MessageTracer.block_history` reconstructs one block's whole
+coherence life::
+
+    log = MessageTracer(blocks=[block])
+    Machine(config, program, instrument=Instrument(messages=log)).run()
+    print(log.format())
 """
 
 from repro.stats.report import format_table
@@ -36,13 +42,14 @@ class TraceEvent:
 
 
 #: Default bound on retained events.  A full-scale barnes run sends every
-#: message through the tracer; unbounded retention used to hold all of
+#: message through the log; unbounded retention used to hold all of
 #: them in RAM.
 DEFAULT_MAX_EVENTS = 100_000
 
 
 class MessageTracer:
-    """Records messages as they are sent.
+    """Records messages as they are sent (the instrument's
+    ``message_send`` probe calls :meth:`record`).
 
     Parameters
     ----------
@@ -51,11 +58,10 @@ class MessageTracer:
         are recorded.
     txns:
         Optional iterable of causal transaction ids (``Message.txn_id``);
-        only messages carrying one of these ids are recorded.  Ids are only
-        assigned when an :class:`~repro.obs.instrument.Instrument` is
-        attached to the machine, and are deterministic across instrumented
-        re-runs of the same configuration — so an id reported by
-        ``dsi-sim why`` can be replayed with ``dsi-sim trace --txn``.
+        only messages carrying one of these ids are recorded.  Ids are
+        deterministic across instrumented re-runs of the same
+        configuration — so an id reported by ``dsi-sim why`` can be
+        replayed with ``dsi-sim trace --txn``.
     max_events:
         Retain at most this many events; further matching messages are
         *counted* (``dropped``) but not stored, and the drop count is
@@ -116,8 +122,14 @@ class MessageTracer:
         return [e for e in self.events if e.src == src and e.dst == dst]
 
     def format(self, limit=None):
-        rows = [event.row() for event in self.events[: limit or len(self.events)]]
+        """The first ``limit`` events (all when ``None``) as a table, then
+        a line counting the retained events it did not print and a line
+        counting the events the bound dropped, each only when nonzero."""
+        shown = self.events[: limit or len(self.events)]
+        rows = [event.row() for event in shown]
         text = format_table(["time", "message", "path", "block", "txn", "flags"], rows)
+        if len(shown) < len(self.events):
+            text += f"\n... {len(self.events) - len(shown)} more event(s) logged, not printed"
         if self.dropped:
             text += (
                 f"\n... {self.dropped} further event(s) dropped "
@@ -127,16 +139,3 @@ class MessageTracer:
 
     def __len__(self):
         return len(self.events)
-
-
-def attach_tracer(machine, tracer):
-    """Wrap the machine's network so every send is recorded."""
-    network = machine.network
-    original_send = network.send
-
-    def traced_send(msg, on_injected=None):
-        tracer.record(network.sim.now, msg, msg.src == msg.dst)
-        return original_send(msg, on_injected=on_injected)
-
-    network.send = traced_send
-    return tracer

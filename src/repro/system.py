@@ -28,7 +28,7 @@ from repro.processor.sync import BarrierManager, LockManager
 from repro.protocol.controller import CacheController, compiled_cache_table
 from repro.protocol.monitor import CoherenceMonitor, TardisMonitor
 from repro.stats.counters import MessageCounters, MissCounters
-from repro.stats.report import RunResult
+from repro.stats.record import RunRecord
 
 
 class Machine:
@@ -183,8 +183,8 @@ class Machine:
         }
 
     def run(self):
-        """Run the program to completion; returns a
-        :class:`~repro.stats.report.RunResult`."""
+        """Run the program to completion; returns its
+        :class:`~repro.stats.record.RunRecord`."""
         if self._ran:
             raise SimulationError(
                 "Machine.run may only be called once, and not after close()"
@@ -201,7 +201,7 @@ class Machine:
             # machine here (instrumented runs stay bit-identical to bare).
             self.instrument.on_quiesce(self)
         finish_times = [proc.finish_time for proc in self.processors]
-        return RunResult(
+        return RunRecord(
             label=self.config.describe(),
             workload=self.program.name,
             exec_time=max(finish_times),

@@ -6,7 +6,7 @@ from conftest import seg_addr, tiny_config
 from repro.stats.ascii_chart import GLYPHS, bar_chart, stacked_bar, stacked_bars
 from repro.stats.breakdown import CATEGORIES, Breakdown
 from repro.stats.counters import MessageCounters, MissCounters
-from repro.stats.report import RunResult
+from repro.stats.record import RunRecord
 from repro.system import Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
@@ -16,7 +16,7 @@ def result_with(label, exec_time, **cycles):
     breakdown = Breakdown()
     for category, amount in cycles.items():
         breakdown.add(category, amount)
-    return RunResult(
+    return RunRecord(
         label=label,
         workload="w",
         exec_time=exec_time,

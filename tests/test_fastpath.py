@@ -42,7 +42,6 @@ from repro.network.message import Message
 from repro.obs.instrument import Instrument
 from repro.processor.cpu import Processor
 from repro.protocol.controller import CacheController
-from repro.stats.record import RunRecord
 from repro.system import Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
@@ -122,8 +121,7 @@ for _name in _PROBES:
 def _run(config, program, record_probes=False):
     instrument = ProbeRecorder() if record_probes else None
     machine = Machine(config, program, instrument=instrument)
-    result = machine.run()
-    return machine, RunRecord.from_result(result), instrument
+    return machine, machine.run(), instrument
 
 
 def _reference(config):

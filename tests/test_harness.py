@@ -4,6 +4,7 @@ Experiment modules run at quick scale with a small machine so the whole
 file stays fast while exercising every code path.
 """
 
+import json
 import re
 
 import pytest
@@ -263,6 +264,17 @@ class TestCli:
         ] + [
             pytest.param(["gen", "--workload", "em3d", "--quick", "--procs", "4",
                           "-o", "{path}"], "missing-directory", id="gen-missing-directory"),
+        ] + [
+            # Output paths are refused before the simulation they record.
+            pytest.param(argv, "missing-directory",
+                         id=f"{argv[0]}-{argv[-2].lstrip('-')}-missing-directory")
+            for argv in (
+                ["why", "em3d", "--quick", "--procs", "4", "-o", "{path}"],
+                ["run", "--workload", "em3d", "--quick", "--procs", "4", "--perfetto", "{path}"],
+                ["trace", "em3d", "--quick", "--procs", "4", "--metrics", "{path}"],
+                ["analyze", "migratory", "--procs", "4", "--perfetto", "{path}"],
+                ["figure5", "--quick", "--procs", "4", "--jobs", "1", "--metrics", "{path}"],
+            )
         ],
     )
     def test_unusable_path_fails_in_one_line(self, argv, problem, tmp_path, capsys):
@@ -308,6 +320,29 @@ class TestCli:
     def test_run_needs_workload_or_trace(self, capsys):
         assert cli.main(["run"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param([verb, "--procs", "4"], "need --workload or --trace", id=f"{verb}-none")
+            for verb in ("run", "trace", "why", "analyze", "describe")
+        ] + [
+            pytest.param([verb, "--procs", "4", "--workload", "bogus"], "unknown workload 'bogus'; have [",
+                         id=f"{verb}-bogus")
+            for verb in ("run", "trace", "why", "analyze", "describe")
+        ] + [
+            pytest.param(["gen", "--workload", "bogus", "-o", "{path}"], "unknown workload 'bogus'; have [",
+                         id="gen-bogus"),
+        ],
+    )
+    def test_workload_refusal_names_its_verb(self, argv, message, tmp_path, capsys):
+        argv = [str(tmp_path / "x.npz") if arg == "{path}" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{argv[0]}: {message}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_gen_and_run_trace(self, tmp_path, capsys):
         path = str(tmp_path / "trace.npz")
         assert cli.main(
@@ -331,3 +366,21 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "GETS" in out or "GETX" in out
+
+    def test_show_trace_prints_rows_of_the_whole_log(self, tmp_path, capsys):
+        # --show-trace bounds the printed rows, not the instrument's one
+        # message log, which the metrics dump reports on.
+        path = tmp_path / "m.json"
+        assert cli.main(
+            ["run", "--workload", "em3d", "--procs", "4", "--quick",
+             "--show-trace", "5", "--metrics", str(path)]
+        ) == 0
+        table = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        dump = json.loads(path.read_text())
+        # 2 header lines, 5 message rows, 1 line counting the rows not printed.
+        assert len(table) == 2 + 5 + 1
+        assert table[-1] == (
+            f"... {dump['probe_counts']['message_send'] - 5} more event(s) logged, not printed"
+        )
+        assert "message_trace" not in dump
+        assert dump["messages_dropped"] == 0

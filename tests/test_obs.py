@@ -13,7 +13,6 @@ from conftest import seg_addr, tiny_config, two_proc_program
 from repro.config import Consistency, IdentifyScheme, SIMechanism
 from repro.obs import Histogram, Instrument, TimeSeries
 from repro.obs.spans import LANE_PROC, SpanTracker
-from repro.stats.record import RunRecord
 from repro.system import Machine
 
 
@@ -54,9 +53,9 @@ class TestEquivalence:
 
     def _records(self, config):
         program = sharing_program()
-        bare = RunRecord.from_result(Machine(config, program).run())
-        _, result = instrumented_run(config, sharing_program())
-        return bare, RunRecord.from_result(result)
+        bare = Machine(config, program).run()
+        _, observed = instrumented_run(config, sharing_program())
+        return bare, observed
 
     def test_sc_equivalent(self):
         bare, observed = self._records(tiny_config())
@@ -77,10 +76,10 @@ class TestAnalyticsEquivalence:
         from repro.obs import AnalyticsInstrument
 
         program = sharing_program()
-        bare = RunRecord.from_result(Machine(config, program).run())
+        bare = Machine(config, program).run()
         instrument = AnalyticsInstrument()
-        result = Machine(config, sharing_program(), instrument=instrument).run()
-        return bare, RunRecord.from_result(result), instrument
+        observed = Machine(config, sharing_program(), instrument=instrument).run()
+        return bare, observed, instrument
 
     def test_sc_equivalent(self):
         bare, observed, instrument = self._records(tiny_config())
@@ -115,10 +114,10 @@ class TestCausalEquivalence:
         from repro.obs import CausalInstrument
 
         program = sharing_program()
-        bare = RunRecord.from_result(Machine(config, program).run())
+        bare = Machine(config, program).run()
         instrument = CausalInstrument()
-        result = Machine(config, sharing_program(), instrument=instrument).run()
-        return bare, RunRecord.from_result(result), instrument
+        observed = Machine(config, sharing_program(), instrument=instrument).run()
+        return bare, observed, instrument
 
     def test_sc_equivalent(self):
         bare, observed, instrument = self._records(tiny_config())

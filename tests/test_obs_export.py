@@ -2,7 +2,7 @@
 
 import json
 
-from conftest import tiny_config
+from conftest import seg_addr, tiny_config, two_proc_program
 from repro.obs import (
     Instrument,
     ascii_timeline,
@@ -12,6 +12,7 @@ from repro.obs import (
     write_perfetto,
 )
 from repro.obs.export import PID_DIR, PID_NET, PID_PROC
+from repro.stats.tracer import MessageTracer
 from repro.system import Machine
 from test_obs import dsi_fifo_config, sharing_program
 
@@ -69,9 +70,27 @@ class TestPerfetto:
         trace = to_perfetto(instrument, max_instants=5)
         instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
         assert len(instants) == 5
-        assert trace["otherData"]["messages_dropped"] >= len(
-            instrument.message_events
-        ) - 5
+        assert trace["otherData"]["messages_dropped"] >= len(instrument.messages) - 5
+
+    def test_instants_are_the_message_log(self):
+        def build(b0, b1, ctx):
+            ctx.barrier_all()
+            b0.write(seg_addr(0)).write(seg_addr(1))
+            ctx.barrier_all()
+            b1.read(seg_addr(0)).read(seg_addr(1))
+            ctx.barrier_all()
+
+        block = seg_addr(0) >> 5
+        instrument = Instrument(messages=MessageTracer(blocks=[block]))
+        Machine(tiny_config(), two_proc_program(build), instrument=instrument).run()
+        log = instrument.messages.events
+        assert 0 < len(log) < instrument.counts["message_send"]  # the filter left some out
+        instants = [e for e in to_perfetto(instrument)["traceEvents"] if e["ph"] == "i"]
+        assert len(instants) == len(instrument.messages)
+        assert all(e["args"]["block"] == block for e in instants)
+        assert [(e["ts"], e["name"], e["args"]["src"], e["args"]["dst"]) for e in instants] == [
+            (m.time, m.kind, m.src, m.dst) for m in log
+        ]
 
     def test_write_round_trips_as_json(self, tmp_path):
         path = tmp_path / "trace.json"

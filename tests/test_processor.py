@@ -7,7 +7,6 @@ from repro.errors import SimulationError
 from repro.harness.configs import paper_config, workload_args
 from repro.processor import cpu
 from repro.stats.breakdown import CATEGORIES, Breakdown
-from repro.stats.record import RunRecord
 from repro.system import Machine
 from repro.trace.builder import TraceBuilder
 from repro.trace.ops import Program
@@ -114,13 +113,6 @@ class TestBreakdownClass:
     def test_fractions_of_empty(self):
         assert all(v == 0.0 for v in Breakdown().fractions().values())
 
-    def test_copy_is_independent(self):
-        a = Breakdown()
-        a.add("compute", 1)
-        b = a.copy()
-        b.add("compute", 1)
-        assert a.compute == 1 and b.compute == 2
-
     def test_repr_shows_nonzero(self):
         a = Breakdown()
         a.add("sync", 4)
@@ -171,6 +163,6 @@ class TestDecodeWindow:
         records = []
         for window in (1, 7, cpu.WINDOW):
             monkeypatch.setattr(cpu, "WINDOW", window)
-            records.append(RunRecord.from_result(Machine(config, program).run()))
+            records.append(Machine(config, program).run())
         assert records[0] == records[1] == records[2]
         assert len({record.events_fired for record in records}) == 1

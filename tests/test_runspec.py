@@ -9,7 +9,7 @@ import pytest
 from repro.config import IdentifyScheme, SystemConfig
 from repro.errors import SimulationError
 from repro.harness.configs import paper_config, workload_args
-from repro.harness.runspec import RunSpec, SpecValidationError
+from repro.harness.runspec import RunSpec
 from repro.obs.analytics import AnalyticsInstrument
 from repro.obs.causal import CausalInstrument
 from repro.obs.instrument import Instrument
@@ -87,6 +87,17 @@ class TestRunSpec:
         assert isinstance(record, RunRecord)
         assert record.exec_time > 0
         assert record.workload.startswith("write_conflict")
+
+    @pytest.mark.parametrize("protocol", ["SC", "W+V"])
+    def test_machine_run_returns_the_record_execute_returns(self, protocol):
+        spec = RunSpec.create(
+            "em3d", paper_config(protocol, n_procs=4),
+            **workload_args("em3d", quick=True, n_procs=4),
+        )
+        program = spec.build_program()
+        record = Machine(spec.config, program).run()
+        assert isinstance(record, RunRecord)
+        assert record == spec.execute(program)
 
 
 def _cyclic_garbage(spec):
@@ -169,116 +180,6 @@ class TestTeardown:
         with pytest.raises(SimulationError, match="max_events"):
             spec.execute()
         assert calls == ["close"]
-
-
-class TestRunSpecFromDict:
-    """Strict JSON round-trip (the sweep service's validation path)."""
-
-    def test_round_trip_preserves_identity_and_key(self):
-        spec = _spec(identify=IdentifyScheme.VERSION)
-        clone = RunSpec.from_dict(spec.to_dict())
-        assert clone == spec
-        assert clone.key() == spec.key()
-
-    def test_round_trip_through_json_text(self):
-        import json
-
-        spec = _spec()
-        clone = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert clone.key() == spec.key()
-
-    def test_non_object_payload_rejected(self):
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(["not", "a", "spec"])
-        assert "JSON object" in excinfo.value.errors[0]["reason"]
-
-    def test_unknown_top_level_field_rejected(self):
-        payload = _spec().to_dict()
-        payload["priority"] = "high"
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert [e["field"] for e in excinfo.value.errors] == ["priority"]
-        assert "unknown field" in excinfo.value.errors[0]["reason"]
-
-    def test_missing_workload_rejected(self):
-        payload = _spec().to_dict()
-        del payload["workload"]
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert excinfo.value.errors[0]["field"] == "workload"
-        assert "missing" in excinfo.value.errors[0]["reason"]
-
-    def test_unregistered_workload_rejected(self):
-        payload = _spec().to_dict()
-        payload["workload"] = "barnes_hut"
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert "unknown workload" in excinfo.value.errors[0]["reason"]
-        # the message names the registered catalog so a client can self-fix
-        assert "producer_consumer" in excinfo.value.errors[0]["reason"]
-
-    def test_non_scalar_workload_arg_rejected(self):
-        payload = _spec().to_dict()
-        payload["workload_args"]["rounds"] = [1, 2]
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert excinfo.value.errors[0]["field"] == "workload_args.rounds"
-        assert "JSON scalars" in excinfo.value.errors[0]["reason"]
-
-    def test_unknown_config_field_rejected(self):
-        payload = _spec().to_dict()
-        payload["config"]["mystery_knob"] = 7
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert excinfo.value.errors[0]["field"] == "config.mystery_knob"
-        assert "unknown SystemConfig field" in excinfo.value.errors[0]["reason"]
-
-    def test_bad_enum_value_rejected_with_choices(self):
-        payload = _spec().to_dict()
-        payload["config"]["identify"] = "psychic"
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        reason = excinfo.value.errors[0]["reason"]
-        assert "bad IdentifyScheme value" in reason
-        assert "'version'" in reason  # valid choices are listed
-
-    def test_bool_and_int_type_confusion_rejected(self):
-        payload = _spec().to_dict()
-        payload["config"]["tearoff"] = 1          # int where bool expected
-        payload["config"]["cache_size"] = True    # bool where int expected
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        reasons = {e["field"]: e["reason"] for e in excinfo.value.errors}
-        assert reasons["config.tearoff"] == "must be a boolean"
-        assert reasons["config.cache_size"] == "must be an integer"
-
-    def test_all_errors_collected_not_just_first(self):
-        payload = _spec().to_dict()
-        payload["workload"] = "nope"
-        payload["config"]["identify"] = "psychic"
-        payload["extra"] = True
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert len(excinfo.value.errors) == 3
-
-    def test_semantic_config_violation_reported_structurally(self):
-        payload = _spec().to_dict()
-        # version identification requires the version-number mechanism's
-        # bits; zero is semantically invalid (SystemConfig.__post_init__)
-        payload["config"]["identify"] = "version"
-        payload["config"]["version_bits"] = 0
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        assert excinfo.value.errors[0]["field"] == "config"
-
-    def test_error_payload_is_json_serializable(self):
-        import json
-
-        payload = _spec().to_dict()
-        payload["workload_args"]["rounds"] = {1, 2}  # a set: not JSON
-        with pytest.raises(SpecValidationError) as excinfo:
-            RunSpec.from_dict(payload)
-        json.dumps(excinfo.value.errors)  # must never raise, whatever garbage arrived
 
 
 class TestRunRecord:

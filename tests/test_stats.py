@@ -1,10 +1,11 @@
-"""Statistics: counters, run results, table formatting."""
+"""Statistics: counters, run records, table formatting."""
 
 import pytest
 
 from repro.stats.breakdown import Breakdown
 from repro.stats.counters import MessageCounters, MissCounters
-from repro.stats.report import RunResult, format_breakdown_table, format_table
+from repro.stats.record import RunRecord
+from repro.stats.report import format_breakdown_table, format_table
 
 
 def make_result(label="SC", exec_time=100, invs=5, total=20):
@@ -19,7 +20,7 @@ def make_result(label="SC", exec_time=100, invs=5, total=20):
     breakdown = Breakdown()
     breakdown.add("compute", exec_time // 2)
     breakdown.add("read_other", exec_time - exec_time // 2)
-    return RunResult(
+    return RunRecord(
         label=label,
         workload="test",
         exec_time=exec_time,
@@ -101,12 +102,6 @@ class TestRunResult:
     def test_aggregate_breakdown(self):
         result = make_result(exec_time=100)
         assert result.aggregate_breakdown().total() == 100
-
-    def test_summary(self):
-        summary = make_result().summary()
-        assert summary["label"] == "SC"
-        assert summary["invalidations"] == 5
-        assert summary["miss_rate"] == pytest.approx(0.1)
 
 
 class TestFormatting:

@@ -2,7 +2,8 @@
 
 
 from conftest import seg_addr, tiny_config, two_proc_program
-from repro.stats.tracer import MessageTracer, attach_tracer
+from repro.obs import Instrument
+from repro.stats.tracer import MessageTracer
 from repro.system import Machine
 
 
@@ -15,9 +16,8 @@ def traced_run(tracer_kwargs=None, config=None):
         ctx.barrier_all()
 
     program = two_proc_program(build)
-    machine = Machine(config or tiny_config(), program)
-    tracer = attach_tracer(machine, MessageTracer(**(tracer_kwargs or {})))
-    machine.run()
+    tracer = MessageTracer(**(tracer_kwargs or {}))
+    Machine(config or tiny_config(), program, instrument=Instrument(messages=tracer)).run()
     return tracer
 
 
@@ -86,9 +86,8 @@ class TestQueries:
             ctx.barrier_all()
 
         program = two_proc_program(build)
-        machine = Machine(tiny_config(), program)
-        tracer = attach_tracer(machine, MessageTracer())
-        machine.run()
+        tracer = MessageTracer()
+        Machine(tiny_config(), program, instrument=Instrument(messages=tracer)).run()
         block = seg_addr(0) >> 5
         history = tracer.block_history(block)
         assert history
@@ -122,7 +121,8 @@ class TestQueries:
 
     def test_format_limit(self):
         tracer = traced_run()
-        assert len(tracer.format(limit=2).splitlines()) == 4
+        # 2 header lines, 2 event rows, 1 line counting the rows not printed.
+        assert len(tracer.format(limit=2).splitlines()) == 5
 
 
 class TestFlags:
@@ -139,9 +139,9 @@ class TestFlags:
             ctx.barrier_all()
 
         program = two_proc_program(build)
-        machine = Machine(tiny_config(identify=IdentifyScheme.VERSION), program)
-        tracer = attach_tracer(machine, MessageTracer())
-        machine.run()
+        tracer = MessageTracer()
+        config = tiny_config(identify=IdentifyScheme.VERSION)
+        Machine(config, program, instrument=Instrument(messages=tracer)).run()
         marked = [e for e in tracer.events if "si" in e.flags and e.kind == "DATA"]
         assert marked
 
@@ -158,8 +158,8 @@ class TestFlags:
             ctx.barrier_all()
 
         program = two_proc_program(build)
-        machine = Machine(tiny_config(identify=IdentifyScheme.VERSION), program)
-        tracer = attach_tracer(machine, MessageTracer())
-        machine.run()
+        tracer = MessageTracer()
+        config = tiny_config(identify=IdentifyScheme.VERSION)
+        Machine(config, program, instrument=Instrument(messages=tracer)).run()
         versioned = [e for e in tracer.events if e.flags.startswith("v") and e.kind == "GETS"]
         assert versioned
